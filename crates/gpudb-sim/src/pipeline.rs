@@ -16,25 +16,22 @@
 //!    `op_zpass`, write depth (if enabled) and color (per mask), and count
 //!    toward any active occlusion query.
 //!
+//! Step 1 runs a row span at a time: the rasterizer shades up to
+//! [`SPAN`](crate::program::SPAN) fragments with the draw's compiled
+//! [`SpanKernel`](crate::program::SpanKernel), then feeds each fragment's
+//! outputs through [`run_tests`] and [`write_color`] here. Shading reads
+//! only textures and constants, never the framebuffer, so shading a span
+//! before testing its first fragment is indistinguishable from shading
+//! each fragment just before its tests.
+//!
 //! The pipeline operates on an [`FbBand`] — a mutable view over a
 //! contiguous row range of the framebuffer — so that the rasterizer can
 //! process disjoint row bands on parallel host threads, mirroring the
 //! device's parallel pixel pipes.
 
 use crate::buffers::{dequantize_depth, quantize_depth, Framebuffer};
-use crate::program::interp::{execute, FragmentContext, FragmentInput};
 use crate::program::isa::FragmentProgram;
 use crate::state::PipelineState;
-use crate::texture::Texture;
-
-/// What happened to a fragment, with enough detail for cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FragmentFate {
-    /// Passed all tests (counts toward occlusion queries).
-    Passed { shaded: bool },
-    /// Discarded by some test or by `KIL`.
-    Discarded { shaded: bool },
-}
 
 /// A mutable view over a contiguous pixel range of the framebuffer
 /// (whole rows). `base` is the global linear index of the first pixel.
@@ -63,58 +60,38 @@ impl<'a> FbBand<'a> {
     }
 }
 
-/// Immutable per-draw context shared by all fragments.
-pub(crate) struct PipelineEnv<'a> {
-    pub state: &'a PipelineState,
-    pub program: Option<&'a FragmentProgram>,
-    pub textures: &'a [Option<&'a Texture>],
-    pub env: &'a [[f32; 4]],
-    pub quad_depth: f32,
-    pub draw_color: [f32; 4],
-    pub early_z: bool,
-}
-
-impl<'a> PipelineEnv<'a> {
-    /// Whether the early-z fast path is usable: the fragment's depth and
-    /// discard behavior must be fully known before shading. A program that
-    /// writes `result.depth` or contains `KIL` forces late testing (the
-    /// NV3x behavior the paper exploits in §6.2.1), and an enabled alpha
-    /// test may depend on the program's output alpha.
-    fn early_tests_eligible(&self) -> bool {
-        self.early_z
-            && match self.program {
-                None => true,
-                Some(p) => !p.writes_depth && !p.has_kil && !self.state.alpha.enabled,
-            }
-    }
-}
-
-/// Outcome of the fixed-function test sequence.
-enum TestOutcome {
-    /// Fragment passed alpha, stencil, bounds and depth.
-    Pass,
-    /// Fragment was discarded by some test.
-    Fail,
+/// Whether a program draw may take the early-z fast path: the fragment's
+/// depth and discard behavior must be fully known before shading. A
+/// program that writes `result.depth` or contains `KIL` forces late
+/// testing (the NV3x behavior the paper exploits in §6.2.1), and an
+/// enabled alpha test may depend on the program's output alpha.
+pub(crate) fn early_tests_eligible(
+    state: &PipelineState,
+    program: &FragmentProgram,
+    early_z: bool,
+) -> bool {
+    early_z && !program.writes_depth && !program.has_kil && !state.alpha.enabled
 }
 
 /// Run the post-shading test sequence and all buffer side effects except
-/// the color write (the caller supplies color only for passing fragments).
+/// the color write (the caller writes color only for passing fragments).
+/// Returns whether the fragment passed alpha, stencil, bounds and depth.
 ///
 /// `frag_depth` is the fragment's incoming depth in normalized units;
 /// `alpha` its output alpha.
 #[inline(always)]
-fn run_tests(
+pub(crate) fn run_tests(
     state: &PipelineState,
     band: &mut FbBand<'_>,
     idx: usize,
     frag_depth: f32,
     alpha: f32,
-) -> TestOutcome {
+) -> bool {
     let idx = band.local(idx);
 
     // 2. Alpha test: discarded fragments have no further effect.
     if !state.alpha.test(alpha) {
-        return TestOutcome::Fail;
+        return false;
     }
 
     // 3. Stencil test.
@@ -123,14 +100,14 @@ fn run_tests(
         let stored = band.stencil[idx];
         if !stencil.test(stored) {
             band.stencil[idx] = stencil.write(stored, stencil.op_fail);
-            return TestOutcome::Fail;
+            return false;
         }
     }
 
     // 4. Depth bounds test: inspects the *stored* framebuffer depth and
     // discards without any stencil update (per the EXT spec).
     if state.depth_bounds.enabled && !state.depth_bounds.test(dequantize_depth(band.depth[idx])) {
-        return TestOutcome::Fail;
+        return false;
     }
 
     // 5. Depth test, in the quantized 24-bit integer domain, under the
@@ -148,7 +125,7 @@ fn run_tests(
             let stored = band.stencil[idx];
             band.stencil[idx] = stencil.write(stored, stencil.op_zfail);
         }
-        return TestOutcome::Fail;
+        return false;
     }
 
     if stencil.enabled {
@@ -158,12 +135,17 @@ fn run_tests(
     if state.depth.write_enabled {
         band.depth[idx] = q_frag;
     }
-    TestOutcome::Pass
+    true
 }
 
 /// Write a passing fragment's color, honoring the color mask.
 #[inline(always)]
-fn write_color(state: &PipelineState, band: &mut FbBand<'_>, idx: usize, color: [f32; 4]) {
+pub(crate) fn write_color(
+    state: &PipelineState,
+    band: &mut FbBand<'_>,
+    idx: usize,
+    color: [f32; 4],
+) {
     let mask = state.color_mask;
     if !mask.any() {
         return;
@@ -184,76 +166,22 @@ fn write_color(state: &PipelineState, band: &mut FbBand<'_>, idx: usize, color: 
     }
 }
 
-/// Process one fragment at pixel `(x, y)` / global linear index `idx`.
+/// Process one fixed-function fragment (no program bound) at global
+/// linear index `idx`: flat `depth` and `color`. Returns whether it passed
+/// all tests.
 #[inline]
-pub(crate) fn process_fragment(
-    env: &PipelineEnv<'_>,
+pub(crate) fn process_fixed(
+    state: &PipelineState,
     band: &mut FbBand<'_>,
-    x: usize,
-    y: usize,
     idx: usize,
-) -> FragmentFate {
-    match env.program {
-        None => {
-            // Pure fixed-function fragment: flat depth and color.
-            match run_tests(env.state, band, idx, env.quad_depth, env.draw_color[3]) {
-                TestOutcome::Pass => {
-                    write_color(env.state, band, idx, env.draw_color);
-                    FragmentFate::Passed { shaded: false }
-                }
-                TestOutcome::Fail => FragmentFate::Discarded { shaded: false },
-            }
-        }
-        Some(program) => {
-            if env.early_tests_eligible() {
-                // Early path: the incoming depth is the quad depth and the
-                // program cannot discard, so run all tests first and shade
-                // only surviving fragments (this is what makes early
-                // depth-culling "a significant performance increase",
-                // §6.2.1).
-                match run_tests(env.state, band, idx, env.quad_depth, env.draw_color[3]) {
-                    TestOutcome::Pass => {
-                        if env.state.color_mask.any() {
-                            let input =
-                                FragmentInput::for_pixel(x, y, env.quad_depth, env.draw_color);
-                            let ctx = FragmentContext {
-                                textures: env.textures,
-                                env: env.env,
-                            };
-                            let out = execute(program, &input, &ctx);
-                            write_color(env.state, band, idx, out.color);
-                            FragmentFate::Passed { shaded: true }
-                        } else {
-                            // Nothing observable from the program: the
-                            // hardware still passes the fragment but the
-                            // shading itself is skipped by early-z.
-                            FragmentFate::Passed { shaded: false }
-                        }
-                    }
-                    TestOutcome::Fail => FragmentFate::Discarded { shaded: false },
-                }
-            } else {
-                // Late path: shade first, then test.
-                let input = FragmentInput::for_pixel(x, y, env.quad_depth, env.draw_color);
-                let ctx = FragmentContext {
-                    textures: env.textures,
-                    env: env.env,
-                };
-                let out = execute(program, &input, &ctx);
-                if out.killed {
-                    return FragmentFate::Discarded { shaded: true };
-                }
-                let frag_depth = out.depth.unwrap_or(env.quad_depth);
-                match run_tests(env.state, band, idx, frag_depth, out.color[3]) {
-                    TestOutcome::Pass => {
-                        write_color(env.state, band, idx, out.color);
-                        FragmentFate::Passed { shaded: true }
-                    }
-                    TestOutcome::Fail => FragmentFate::Discarded { shaded: true },
-                }
-            }
-        }
+    depth: f32,
+    color: [f32; 4],
+) -> bool {
+    let passed = run_tests(state, band, idx, depth, color[3]);
+    if passed {
+        write_color(state, band, idx, color);
     }
+    passed
 }
 
 #[cfg(test)]
@@ -261,27 +189,22 @@ mod tests {
     use super::*;
     use crate::state::{CompareFunc, StencilOp};
 
-    fn env_fixed(state: &PipelineState) -> PipelineEnv<'_> {
-        PipelineEnv {
+    /// A fixed-function draw at depth 0.5.
+    struct FixedDraw<'a> {
+        state: &'a PipelineState,
+        draw_color: [f32; 4],
+    }
+
+    fn env_fixed(state: &PipelineState) -> FixedDraw<'_> {
+        FixedDraw {
             state,
-            program: None,
-            textures: &[],
-            env: &[],
-            quad_depth: 0.5,
             draw_color: [1.0, 0.0, 0.0, 1.0],
-            early_z: true,
         }
     }
 
-    fn run_one(
-        env: &PipelineEnv<'_>,
-        fb: &mut Framebuffer,
-        x: usize,
-        y: usize,
-        idx: usize,
-    ) -> FragmentFate {
+    fn run_one(env: &FixedDraw<'_>, fb: &mut Framebuffer, idx: usize) -> bool {
         let mut band = FbBand::full(fb);
-        process_fragment(env, &mut band, x, y, idx)
+        process_fixed(env.state, &mut band, idx, 0.5, env.draw_color)
     }
 
     #[test]
@@ -296,8 +219,8 @@ mod tests {
             ..Default::default()
         };
         let mut fb = Framebuffer::new(2, 2);
-        let fate = run_one(&env_fixed(&state), &mut fb, 1, 0, 1);
-        assert_eq!(fate, FragmentFate::Passed { shaded: false });
+        let fate = run_one(&env_fixed(&state), &mut fb, 1);
+        assert!(fate);
         assert_eq!(fb.color.get(1), [1.0, 0.0, 0.0, 1.0]);
         assert_eq!(fb.depth.get_raw(1), quantize_depth(0.5));
         // untouched pixel
@@ -317,8 +240,8 @@ mod tests {
         };
         let mut fb = Framebuffer::new(1, 1);
         fb.depth.clear(0.25); // stored 0.25 < incoming 0.5 → Less fails
-        let fate = run_one(&env_fixed(&state), &mut fb, 0, 0, 0);
-        assert_eq!(fate, FragmentFate::Discarded { shaded: false });
+        let fate = run_one(&env_fixed(&state), &mut fb, 0);
+        assert!(!fate);
         assert_eq!(fb.depth.get_raw(0), quantize_depth(0.25));
         assert_eq!(fb.color.get(0), [0.0; 4]);
     }
@@ -349,18 +272,9 @@ mod tests {
         fb.stencil.set(2, 5);
 
         let env = env_fixed(&state);
-        assert_eq!(
-            run_one(&env, &mut fb, 0, 0, 0),
-            FragmentFate::Passed { shaded: false }
-        );
-        assert_eq!(
-            run_one(&env, &mut fb, 1, 0, 1),
-            FragmentFate::Discarded { shaded: false }
-        );
-        assert_eq!(
-            run_one(&env, &mut fb, 2, 0, 2),
-            FragmentFate::Discarded { shaded: false }
-        );
+        assert!(run_one(&env, &mut fb, 0));
+        assert!(!run_one(&env, &mut fb, 1));
+        assert!(!run_one(&env, &mut fb, 2));
         assert_eq!(fb.stencil.get(0), 1);
         assert_eq!(fb.stencil.get(1), 2);
         assert_eq!(fb.stencil.get(2), 0);
@@ -380,8 +294,8 @@ mod tests {
         let mut fb = Framebuffer::new(1, 1);
         let mut env = env_fixed(&state);
         env.draw_color = [0.0, 0.0, 0.0, 0.25]; // alpha 0.25 < 0.5 → discard
-        let fate = run_one(&env, &mut fb, 0, 0, 0);
-        assert_eq!(fate, FragmentFate::Discarded { shaded: false });
+        let fate = run_one(&env, &mut fb, 0);
+        assert!(!fate);
         // alpha-discarded fragments never reach the stencil stage
         assert_eq!(fb.stencil.get(0), 0);
     }
@@ -404,14 +318,8 @@ mod tests {
         fb.depth.set_raw(1, quantize_depth(0.9)); // out of bounds
 
         let env = env_fixed(&state);
-        assert_eq!(
-            run_one(&env, &mut fb, 0, 0, 0),
-            FragmentFate::Passed { shaded: false }
-        );
-        assert_eq!(
-            run_one(&env, &mut fb, 1, 0, 1),
-            FragmentFate::Discarded { shaded: false }
-        );
+        assert!(run_one(&env, &mut fb, 0));
+        assert!(!run_one(&env, &mut fb, 1));
         assert_eq!(fb.stencil.get(0), 1, "in-bounds pixel marked");
         assert_eq!(fb.stencil.get(1), 0, "out-of-bounds pixel untouched");
     }
@@ -424,7 +332,7 @@ mod tests {
         };
         let mut fb = Framebuffer::new(1, 1);
         let env = env_fixed(&state);
-        run_one(&env, &mut fb, 0, 0, 0);
+        run_one(&env, &mut fb, 0);
         assert_eq!(fb.color.get(0), [0.0; 4]);
     }
 
@@ -435,7 +343,7 @@ mod tests {
         state.depth.write_enabled = false;
         let mut fb = Framebuffer::new(1, 1);
         let before = fb.depth.get_raw(0);
-        run_one(&env_fixed(&state), &mut fb, 0, 0, 0);
+        run_one(&env_fixed(&state), &mut fb, 0);
         assert_eq!(fb.depth.get_raw(0), before);
     }
 
@@ -465,8 +373,8 @@ mod tests {
                 stencil: fb2.stencil.data_mut(),
                 base: 4,
             };
-            let fate = process_fragment(&env, &mut band, 2, 1, 6);
-            assert_eq!(fate, FragmentFate::Passed { shaded: false });
+            let fate = process_fixed(env.state, &mut band, 6, 0.5, env.draw_color);
+            assert!(fate);
         }
         assert_eq!(fb.color.get(6), [1.0, 0.0, 0.0, 1.0]);
         assert_eq!(fb.color.get(2), [0.0; 4], "row 0 untouched");

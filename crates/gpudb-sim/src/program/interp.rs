@@ -1,6 +1,8 @@
-//! Fragment program interpreter.
+//! Fragment program interpreter: the reference semantics.
 //!
-//! Executes one [`FragmentProgram`] per fragment, exactly as the pixel
+//! Draws do not run this interpreter; they run the span kernels of
+//! [`super::compiled`], which must agree with it bit for bit. It executes
+//! one [`FragmentProgram`] per fragment, exactly as the pixel
 //! processing engines of the simulated GPU would — including the NV3x
 //! quirk the paper leans on in §6.1: "Current GPUs implement branching by
 //! evaluating both portions of the conditional statement", i.e. there is no
@@ -10,7 +12,7 @@
 use super::isa::{
     DstReg, FragmentProgram, Instruction, Opcode, SrcOperand, SrcReg, NUM_TEMPS, NUM_TEXCOORDS,
 };
-use crate::texture::Texture;
+use crate::texture::{texel_coord, Texture};
 
 /// Interpolated per-fragment inputs.
 #[derive(Debug, Clone, Copy)]
@@ -64,9 +66,10 @@ pub struct ProgramOutput {
 /// addressing, in texel coordinates.
 #[inline(always)]
 fn sample(texture: &Texture, coord: [f32; 4]) -> [f32; 4] {
-    let x = (coord[0].floor().max(0.0) as usize).min(texture.width() - 1);
-    let y = (coord[1].floor().max(0.0) as usize).min(texture.height() - 1);
-    texture.fetch(x, y)
+    texture.fetch(
+        texel_coord(coord[0], texture.width()),
+        texel_coord(coord[1], texture.height()),
+    )
 }
 
 /// Execute `program` for a single fragment.

@@ -4,15 +4,21 @@
 //! screen-filling quadrilaterals ("To perform computations on the values
 //! stored in a texture, we render a single quadrilateral that covers the
 //! window" — §3.3). The rasterizer turns a set of axis-aligned rectangles
-//! into fragments and pushes each through the per-fragment pipeline.
+//! into fragments and pushes each through the per-fragment pipeline. A
+//! bound fragment program is compiled once per draw into a
+//! [`SpanKernel`], which shades each row span of up to [`SPAN`] fragments
+//! before the fixed-function tests run on its outputs.
 
 use crate::buffers::Framebuffer;
 use crate::cost::{DrawCost, HardwareProfile};
-use crate::pipeline::{process_fragment, FbBand, FragmentFate, PipelineEnv};
+use crate::pipeline::{early_tests_eligible, process_fixed, run_tests, write_color, FbBand};
+use crate::program::compiled::{SpanKernel, SpanRegisters, SPAN};
+use crate::program::interp::FragmentContext;
 use crate::program::isa::FragmentProgram;
 use crate::state::PipelineState;
 use crate::texture::Texture;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// An axis-aligned pixel rectangle, the rasterizer's primitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -91,56 +97,143 @@ pub(crate) struct DrawInputs<'a> {
 /// host threads (below this, thread startup dominates).
 const PARALLEL_THRESHOLD: usize = 1 << 15;
 
+/// Host threads a large draw fans out across, at most 8. Computed once:
+/// `available_parallelism` reads cgroup files on Linux, tens of
+/// microseconds per call.
+fn raster_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
+    })
+}
+
+/// A draw's program, compiled, with one thread's register file.
+struct Shader<'k, 'a> {
+    kernel: &'k SpanKernel<'a>,
+    regs: SpanRegisters,
+    /// Whether the early-z path applies: test first, shade survivors.
+    early: bool,
+}
+
 /// Rasterize one row band: process every rect pixel whose row falls in
 /// `[row_start, row_end)`.
 fn rasterize_band(
     inputs: &DrawInputs<'_>,
+    kernel: Option<&SpanKernel<'_>>,
     band: &mut FbBand<'_>,
     rects: &[Rect],
     fb_width: usize,
     row_start: usize,
     row_end: usize,
 ) -> DrawCost {
-    let env = PipelineEnv {
-        state: inputs.state,
-        program: inputs.program,
-        textures: inputs.textures,
-        env: inputs.env,
-        quad_depth: inputs.quad_depth,
-        draw_color: inputs.draw_color,
-        early_z: inputs.early_z,
-    };
+    let state = inputs.state;
+    let mut shader = kernel.zip(inputs.program).map(|(kernel, program)| Shader {
+        kernel,
+        regs: kernel.registers(),
+        early: early_tests_eligible(state, program, inputs.early_z),
+    });
     let mut cost = DrawCost::default();
     for rect in rects {
         let y0 = rect.y.max(row_start);
         let y1 = (rect.y + rect.height).min(row_end);
         for y in y0..y1 {
+            let xs = state.scissor.clip_row(y, rect.x, rect.x + rect.width);
+            if xs.is_empty() {
+                continue;
+            }
+            cost.fragments += xs.len() as u64;
             let row_base = y * fb_width;
-            for x in rect.x..rect.x + rect.width {
-                if !inputs.state.scissor.contains(x, y) {
-                    continue;
-                }
-                cost.fragments += 1;
-                let fate = process_fragment(&env, band, x, y, row_base + x);
-                match fate {
-                    FragmentFate::Passed { shaded } => {
-                        cost.passed += 1;
-                        if shaded {
-                            cost.shaded += 1;
+            match &mut shader {
+                None => {
+                    for x in xs {
+                        if process_fixed(
+                            state,
+                            band,
+                            row_base + x,
+                            inputs.quad_depth,
+                            inputs.draw_color,
+                        ) {
+                            cost.passed += 1;
                         }
                     }
-                    FragmentFate::Discarded { shaded } => {
-                        if shaded {
-                            cost.shaded += 1;
-                        } else if inputs.program.is_some() {
-                            cost.early_rejected += 1;
-                        }
+                }
+                Some(shader) => {
+                    for x in xs.clone().step_by(SPAN) {
+                        let len = (xs.end - x).min(SPAN);
+                        shade_span(inputs, shader, band, x, y, row_base, len, &mut cost);
                     }
                 }
             }
         }
     }
     cost
+}
+
+/// Shade and test the `len` fragments at pixels `(x..x + len, y)`.
+#[allow(clippy::too_many_arguments)]
+fn shade_span(
+    inputs: &DrawInputs<'_>,
+    shader: &mut Shader<'_, '_>,
+    band: &mut FbBand<'_>,
+    x: usize,
+    y: usize,
+    row_base: usize,
+    len: usize,
+    cost: &mut DrawCost,
+) {
+    let state = inputs.state;
+    let first = row_base + x;
+    if shader.early {
+        // Early path: the incoming depth is the quad depth and the program
+        // cannot discard, so run all tests first and shade only spans with
+        // survivors (this is what makes early depth-culling "a significant
+        // performance increase", §6.2.1).
+        let mut survivors = 0u64;
+        for lane in 0..len {
+            if run_tests(
+                state,
+                band,
+                first + lane,
+                inputs.quad_depth,
+                inputs.draw_color[3],
+            ) {
+                survivors |= 1 << lane;
+            }
+        }
+        let passed = u64::from(survivors.count_ones());
+        cost.passed += passed;
+        cost.early_rejected += len as u64 - passed;
+        // With every color channel masked nothing the program computes is
+        // observable: the hardware passes the fragments but skips shading.
+        if survivors == 0 || !state.color_mask.any() {
+            return;
+        }
+        cost.shaded += passed;
+        let out = shader.kernel.shade(&mut shader.regs, x, y);
+        while survivors != 0 {
+            let lane = survivors.trailing_zeros() as usize;
+            survivors &= survivors - 1;
+            write_color(state, band, first + lane, out.color(lane));
+        }
+    } else {
+        // Late path: shade first, then test.
+        cost.shaded += len as u64;
+        let out = shader.kernel.shade(&mut shader.regs, x, y);
+        for lane in 0..len {
+            if out.killed(lane) {
+                continue;
+            }
+            let depth = out.depth(lane).unwrap_or(inputs.quad_depth);
+            let color = out.color(lane);
+            if run_tests(state, band, first + lane, depth, color[3]) {
+                write_color(state, band, first + lane, color);
+                cost.passed += 1;
+            }
+        }
+    }
 }
 
 /// Rasterize `rects` into `fb`, returning the pass accounting.
@@ -158,14 +251,19 @@ pub(crate) fn rasterize(
     let fb_width = fb.width();
     let fb_height = fb.height();
     let area: usize = rects.iter().map(Rect::area).sum();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
+    let threads = raster_workers();
+    let ctx = FragmentContext {
+        textures: inputs.textures,
+        env: inputs.env,
+    };
+    let kernel = inputs
+        .program
+        .map(|p| SpanKernel::compile(p, &ctx, inputs.quad_depth, inputs.draw_color));
+    let kernel = kernel.as_ref();
 
     let mut cost = if area < PARALLEL_THRESHOLD || threads < 2 || fb_height < 2 {
         let mut band = FbBand::full(fb);
-        rasterize_band(inputs, &mut band, rects, fb_width, 0, fb_height)
+        rasterize_band(inputs, kernel, &mut band, rects, fb_width, 0, fb_height)
     } else {
         // Split the framebuffer into contiguous row bands, one per worker.
         let bands = threads.min(fb_height);
@@ -196,7 +294,9 @@ pub(crate) fn rasterize(
                         stencil: stencil_band,
                         base,
                     };
-                    rasterize_band(inputs, &mut band, rects, fb_width, row_start, row_end)
+                    rasterize_band(
+                        inputs, kernel, &mut band, rects, fb_width, row_start, row_end,
+                    )
                 }));
                 row = row_end;
             }

@@ -314,6 +314,19 @@ impl ScissorState {
         !self.enabled
             || (x >= self.x && y >= self.y && x - self.x < self.width && y - self.y < self.height)
     }
+
+    /// The pixels of row `y`'s range `x0..x1` that survive the test: the
+    /// same pixels [`contains`](Self::contains) accepts, as one range.
+    #[inline]
+    pub fn clip_row(&self, y: usize, x0: usize, x1: usize) -> std::ops::Range<usize> {
+        if !self.enabled {
+            return x0..x1;
+        }
+        if y < self.y || y - self.y >= self.height {
+            return x0..x0;
+        }
+        x0.max(self.x)..x1.min(self.x.saturating_add(self.width))
+    }
 }
 
 /// Per-channel color write mask (`glColorMask`).
@@ -509,5 +522,35 @@ mod tests {
         assert!(!sc.contains(1, 3));
         assert!(!sc.contains(6, 4));
         assert!(!sc.contains(2, 5));
+    }
+
+    #[test]
+    fn scissor_clip_row_matches_contains() {
+        let scissors = [
+            ScissorState::default(),
+            ScissorState {
+                enabled: true,
+                x: 2,
+                y: 3,
+                width: 4,
+                height: 2,
+            },
+            ScissorState {
+                enabled: true,
+                x: 5,
+                y: 0,
+                width: usize::MAX,
+                height: usize::MAX,
+            },
+        ];
+        for sc in scissors {
+            for y in 0..8 {
+                for (x0, x1) in [(0, 10), (3, 4), (6, 9), (4, 4)] {
+                    let clipped = sc.clip_row(y, x0, x1);
+                    let want: Vec<usize> = (x0..x1).filter(|&x| sc.contains(x, y)).collect();
+                    assert_eq!(clipped.collect::<Vec<_>>(), want, "{sc:?} y={y} {x0}..{x1}");
+                }
+            }
+        }
     }
 }

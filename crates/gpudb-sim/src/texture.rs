@@ -211,6 +211,14 @@ impl Texture {
     }
 }
 
+/// The texel row or column a texel-space coordinate samples along an edge
+/// of `size` texels: nearest-neighbor filtering with clamp-to-edge
+/// addressing (negative and NaN coordinates clamp to 0).
+#[inline(always)]
+pub(crate) fn texel_coord(coord: f32, size: usize) -> usize {
+    (coord.floor().max(0.0) as usize).min(size - 1)
+}
+
 /// Encode an unsigned integer attribute value into the f32 texel domain.
 ///
 /// Values must fit in [`EXACT_INT_BITS`] bits to be represented exactly;

@@ -1,0 +1,487 @@
+//! Draw-level pins: framebuffer bytes and `DrawCost` of the paper's
+//! program passes, recorded once and compared exactly.
+//!
+//! Every case runs one or more draws on a fresh device and reduces the
+//! resulting color, depth and stencil buffers to an FNV-1a digest, next to
+//! the exact `DrawCost` fields (`modeled_seconds` by its bit pattern). The
+//! expected table was recorded from the per-fragment interpreter that
+//! shaded every draw before fragment programs were compiled into span
+//! kernels, so any change in how the host executes a program that moves a
+//! single bit of output or accounting fails here.
+//!
+//! To regenerate after an intended change, run the test and copy the
+//! `actual` table it prints on mismatch.
+
+use gpudb_sim::program::builtin;
+use gpudb_sim::state::{ColorMask, ScissorState};
+use gpudb_sim::{CompareFunc, DrawCost, Gpu, Rect, StencilOp, Texture, TextureFormat};
+
+/// Texture width of the small cases: two full 64-fragment spans and a
+/// partial one per row.
+const W: usize = 150;
+/// Records in the small cases: 36 full rows plus a partial 77-record row.
+const N: usize = W * 36 + 77;
+/// Framebuffer of the small cases, wider and taller than the texture.
+const FB_W: usize = 160;
+const FB_H: usize = 40;
+
+fn fnv(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+fn fb_digest(gpu: &mut Gpu) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for px in gpu.read_color_buffer().unwrap() {
+        for c in px {
+            fnv(&mut h, &c.to_bits().to_le_bytes());
+        }
+    }
+    for d in gpu.read_depth_buffer_raw().unwrap() {
+        fnv(&mut h, &d.to_le_bytes());
+    }
+    fnv(&mut h, &gpu.read_stencil_buffer().unwrap());
+    h
+}
+
+fn cost_line(c: &DrawCost) -> String {
+    format!(
+        "{} {} {} {} {} {:016x}",
+        c.fragments,
+        c.shaded,
+        c.early_rejected,
+        c.passed,
+        c.instructions,
+        c.modeled_seconds.to_bits()
+    )
+}
+
+/// Deterministic 64-bit LCG, so the pins do not depend on any RNG crate.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u32 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (self.0 >> 33) as u32
+    }
+}
+
+/// 24-bit integer attribute values, as the database layer stores them.
+fn int_texture(w: usize, h: usize, format: TextureFormat, seed: u64) -> Texture {
+    let mut rng = Lcg(seed);
+    let data = (0..w * h * format.channels())
+        .map(|_| (rng.next() & 0x00ff_ffff) as f32)
+        .collect();
+    Texture::from_data(w, h, format, data).unwrap()
+}
+
+/// Mixed-sign quarter-step values for the semi-linear dot product: coarse
+/// enough that `dot(s, a) == b` has ties.
+fn real_texture(w: usize, h: usize, seed: u64) -> Texture {
+    let mut rng = Lcg(seed);
+    let data = (0..w * h * 4)
+        .map(|_| (rng.next() % 41) as f32 * 0.25 - 5.0)
+        .collect();
+    Texture::from_data(w, h, TextureFormat::Rgba, data).unwrap()
+}
+
+/// A stencil "selection" of roughly every third pixel, built with a
+/// fixed-function pass per selected row segment.
+fn select_stripes(gpu: &mut Gpu) {
+    gpu.clear_stencil(0);
+    gpu.set_stencil_func(true, CompareFunc::Always, 1, 0xFF);
+    gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Replace);
+    gpu.set_color_mask(ColorMask::NONE);
+    gpu.set_depth_test(false, CompareFunc::Always);
+    gpu.set_depth_write(false);
+    let rects: Vec<Rect> = (0..FB_H)
+        .map(|y| Rect::new((y * 7) % 50, y, 40 + y % 30, 1))
+        .collect();
+    gpu.draw_quad(&rects, 0.0).unwrap();
+    gpu.reset_state();
+}
+
+fn device_with(texture: Texture) -> Gpu {
+    let mut gpu = Gpu::geforce_fx_5900(FB_W, FB_H);
+    let id = gpu.create_texture(texture).unwrap();
+    gpu.bind_texture(0, Some(id)).unwrap();
+    gpu
+}
+
+/// One table line per draw: its cost and the framebuffer digest after it.
+fn record(out: &mut Vec<String>, name: String, gpu: &mut Gpu, cost: &DrawCost) {
+    let digest = fb_digest(gpu);
+    out.push(format!("{name} {} fb {digest:016x}", cost_line(cost)));
+}
+
+/// `TestBit` at every bit, with and without a stencil selection. The color
+/// mask is open so the shaded alpha (the bit's fraction) lands in the
+/// color buffer and is pinned bit for bit.
+fn test_bit_cases(out: &mut Vec<String>) {
+    for (format, seed) in [
+        (TextureFormat::R, 11),
+        (TextureFormat::Rg, 12),
+        (TextureFormat::Rgba, 14),
+    ] {
+        for selected in [false, true] {
+            let mut gpu = device_with(int_texture(W, 37, format, seed));
+            if selected {
+                select_stripes(&mut gpu);
+            }
+            gpu.bind_program(Some(builtin::test_bit()));
+            let channel = format.channels() - 1;
+            gpu.set_program_env(builtin::ENV_CHANNEL, builtin::channel_selector(channel))
+                .unwrap();
+            gpu.set_depth_test(false, CompareFunc::Always);
+            gpu.set_depth_write(false);
+            gpu.set_alpha_test(true, CompareFunc::GreaterEqual, 0.5);
+            if selected {
+                gpu.set_stencil_func(true, CompareFunc::Equal, 1, 0xFF);
+                gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Keep);
+            }
+            let name = format!("testbit/{}ch/sel={selected}", format.channels());
+            for bit in 0..24 {
+                gpu.set_program_env(builtin::ENV_SCALE, [0.5f32.powi(bit + 1), 0.0, 0.0, 0.0])
+                    .unwrap();
+                let cost = gpu.draw_quad(&Rect::covering_prefix(N, W), 0.0).unwrap();
+                record(out, format!("{name}/bit{bit}"), &mut gpu, &cost);
+            }
+        }
+    }
+}
+
+/// CopyToDepth on every channel count, over a partial last row.
+fn copy_to_depth_cases(out: &mut Vec<String>) {
+    for (format, seed) in [
+        (TextureFormat::R, 21),
+        (TextureFormat::Rg, 22),
+        (TextureFormat::Rgba, 24),
+    ] {
+        let mut gpu = device_with(int_texture(W, 37, format, seed));
+        gpu.bind_program(Some(builtin::copy_to_depth()));
+        gpu.set_program_env(
+            builtin::ENV_SCALE,
+            [1.0 / gpudb_sim::buffers::DEPTH_SCALE as f32, 0.0, 0.0, 0.0],
+        )
+        .unwrap();
+        gpu.set_program_env(
+            builtin::ENV_CHANNEL,
+            builtin::channel_selector(format.channels() - 1),
+        )
+        .unwrap();
+        gpu.set_color_mask(ColorMask::NONE);
+        gpu.set_depth_test(false, CompareFunc::Always);
+        gpu.set_depth_write(true);
+        let cost = gpu.draw_quad(&Rect::covering_prefix(N, W), 0.0).unwrap();
+        let name = format!("copytodepth/{}ch", format.channels());
+        record(out, name, &mut gpu, &cost);
+    }
+}
+
+/// SemilinearFP under all 8 compare funcs, with and without a stencil
+/// selection and a scissor. The scissored draws cover the whole (wider)
+/// framebuffer, so they also sample past the texture's right edge.
+fn semilinear_cases(out: &mut Vec<String>) {
+    let funcs = [
+        CompareFunc::Never,
+        CompareFunc::Less,
+        CompareFunc::Equal,
+        CompareFunc::LessEqual,
+        CompareFunc::Greater,
+        CompareFunc::NotEqual,
+        CompareFunc::GreaterEqual,
+        CompareFunc::Always,
+    ];
+    for func in funcs {
+        for selected in [false, true] {
+            for scissored in [false, true] {
+                let mut gpu = device_with(real_texture(W, 37, 31));
+                if selected {
+                    select_stripes(&mut gpu);
+                }
+                gpu.bind_program(Some(builtin::semilinear(func)));
+                gpu.set_program_env(builtin::ENV_COEFF, [0.5, -1.0, 2.0, 0.75])
+                    .unwrap();
+                // Integer-valued constant: `Equal` and `NotEqual` see ties.
+                gpu.set_program_env(builtin::ENV_CONST, [3.0; 4]).unwrap();
+                gpu.set_depth_test(false, CompareFunc::Always);
+                gpu.set_depth_write(false);
+                if selected {
+                    gpu.set_stencil_func(true, CompareFunc::Equal, 1, 0xFF);
+                    gpu.set_stencil_op(StencilOp::Keep, StencilOp::Zero, StencilOp::Incr);
+                }
+                let cost = if scissored {
+                    gpu.set_scissor(ScissorState {
+                        enabled: true,
+                        x: 9,
+                        y: 3,
+                        width: 145,
+                        height: 30,
+                    });
+                    gpu.draw_full_quad(0.0).unwrap()
+                } else {
+                    gpu.draw_quad(&Rect::covering_prefix(N, W), 0.0).unwrap()
+                };
+                let name = format!("semilinear/{func:?}/sel={selected}/scissor={scissored}");
+                record(out, name, &mut gpu, &cost);
+            }
+        }
+    }
+}
+
+/// A program draw on the early-z path, large enough to be split into
+/// parallel row bands: a depth buffer of attribute values rejects about
+/// half the fragments before shading.
+fn early_z_case(out: &mut Vec<String>) {
+    let (w, h) = (256, 170);
+    let mut gpu = Gpu::geforce_fx_5900(w, h);
+    let id = gpu
+        .create_texture(int_texture(w, h, TextureFormat::Rgba, 41))
+        .unwrap();
+    gpu.bind_texture(0, Some(id)).unwrap();
+    gpu.bind_program(Some(builtin::copy_to_depth()));
+    gpu.set_program_env(
+        builtin::ENV_SCALE,
+        [1.0 / gpudb_sim::buffers::DEPTH_SCALE as f32, 0.0, 0.0, 0.0],
+    )
+    .unwrap();
+    gpu.set_program_env(builtin::ENV_CHANNEL, builtin::channel_selector(2))
+        .unwrap();
+    gpu.set_color_mask(ColorMask::NONE);
+    gpu.set_depth_test(false, CompareFunc::Always);
+    gpu.set_depth_write(true);
+    let copy = gpu.draw_full_quad(0.0).unwrap();
+    record(out, "earlyz/copy".to_string(), &mut gpu, &copy);
+
+    gpu.reset_state();
+    gpu.set_draw_color([0.25, 0.5, 0.75, 1.0]);
+    gpu.bind_program_source(
+        "!!ARBfp1.0
+         TEX R0, fragment.texcoord[0], texture[0], 2D;
+         MUL R1, R0, program.env[0];
+         ADD R1.xz, R1, fragment.color;
+         MOV result.color, R1;
+         END",
+    )
+    .unwrap();
+    gpu.set_program_env(0, [0.5, 0.25, 2.0, 1.0]).unwrap();
+    gpu.set_depth_test(true, CompareFunc::Less);
+    gpu.set_depth_write(false);
+    let shade = gpu.draw_full_quad(0.5).unwrap();
+    record(out, "earlyz/less".to_string(), &mut gpu, &shade);
+}
+
+const EXPECTED: &str = "\
+testbit/1ch/sel=false/bit0 5477 5477 0 2695 27385 3ef40eb90eb837f9 fb f986be08864ea845
+testbit/1ch/sel=false/bit1 5477 5477 0 2740 27385 3ef40eb90eb837f9 fb 626017b4a12691e5
+testbit/1ch/sel=false/bit2 5477 5477 0 2725 27385 3ef40eb90eb837f9 fb 669d54a0018e2a85
+testbit/1ch/sel=false/bit3 5477 5477 0 2720 27385 3ef40eb90eb837f9 fb 5240ce5993aee295
+testbit/1ch/sel=false/bit4 5477 5477 0 2773 27385 3ef40eb90eb837f9 fb 64e292c2494b7f0d
+testbit/1ch/sel=false/bit5 5477 5477 0 2750 27385 3ef40eb90eb837f9 fb 5cf4428607e353b1
+testbit/1ch/sel=false/bit6 5477 5477 0 2695 27385 3ef40eb90eb837f9 fb 2e148b9e965e0395
+testbit/1ch/sel=false/bit7 5477 5477 0 2765 27385 3ef40eb90eb837f9 fb e043b4b4e0900ca8
+testbit/1ch/sel=false/bit8 5477 5477 0 2707 27385 3ef40eb90eb837f9 fb 91375a6b23c1b6a0
+testbit/1ch/sel=false/bit9 5477 5477 0 2723 27385 3ef40eb90eb837f9 fb fb53bb674f059f88
+testbit/1ch/sel=false/bit10 5477 5477 0 2781 27385 3ef40eb90eb837f9 fb 124f3523ae70802e
+testbit/1ch/sel=false/bit11 5477 5477 0 2730 27385 3ef40eb90eb837f9 fb 4e23b9e56be26eb8
+testbit/1ch/sel=false/bit12 5477 5477 0 2778 27385 3ef40eb90eb837f9 fb 34b58b0977e8ec67
+testbit/1ch/sel=false/bit13 5477 5477 0 2751 27385 3ef40eb90eb837f9 fb 5060502fe7de85e7
+testbit/1ch/sel=false/bit14 5477 5477 0 2759 27385 3ef40eb90eb837f9 fb 315148cc0367615e
+testbit/1ch/sel=false/bit15 5477 5477 0 2778 27385 3ef40eb90eb837f9 fb f8f1389d9d652822
+testbit/1ch/sel=false/bit16 5477 5477 0 2764 27385 3ef40eb90eb837f9 fb 27fa46c6df481418
+testbit/1ch/sel=false/bit17 5477 5477 0 2746 27385 3ef40eb90eb837f9 fb 72f5b414e615ccbb
+testbit/1ch/sel=false/bit18 5477 5477 0 2728 27385 3ef40eb90eb837f9 fb bed66c1714f4e0fa
+testbit/1ch/sel=false/bit19 5477 5477 0 2716 27385 3ef40eb90eb837f9 fb b6838069c7034ee1
+testbit/1ch/sel=false/bit20 5477 5477 0 2710 27385 3ef40eb90eb837f9 fb 69c70eaf23d2e5cc
+testbit/1ch/sel=false/bit21 5477 5477 0 2740 27385 3ef40eb90eb837f9 fb 9fe22722fd04cf7f
+testbit/1ch/sel=false/bit22 5477 5477 0 2837 27385 3ef40eb90eb837f9 fb b8e753d544295fd8
+testbit/1ch/sel=false/bit23 5477 5477 0 2667 27385 3ef40eb90eb837f9 fb cb97594cd7abc119
+testbit/1ch/sel=true/bit0 5477 5477 0 917 27385 3ef40eb90eb837f9 fb e13d1d08f1498e35
+testbit/1ch/sel=true/bit1 5477 5477 0 964 27385 3ef40eb90eb837f9 fb 640b84212936def5
+testbit/1ch/sel=true/bit2 5477 5477 0 939 27385 3ef40eb90eb837f9 fb 755ff9d6e4798095
+testbit/1ch/sel=true/bit3 5477 5477 0 951 27385 3ef40eb90eb837f9 fb 9f1c6d76b5b13bc5
+testbit/1ch/sel=true/bit4 5477 5477 0 988 27385 3ef40eb90eb837f9 fb 56c50290999c3035
+testbit/1ch/sel=true/bit5 5477 5477 0 966 27385 3ef40eb90eb837f9 fb 203ab8e2fdf27ead
+testbit/1ch/sel=true/bit6 5477 5477 0 954 27385 3ef40eb90eb837f9 fb 720ae4350e0707c9
+testbit/1ch/sel=true/bit7 5477 5477 0 967 27385 3ef40eb90eb837f9 fb 9d0a765bc2e9f37b
+testbit/1ch/sel=true/bit8 5477 5477 0 959 27385 3ef40eb90eb837f9 fb 06d0722f34e86126
+testbit/1ch/sel=true/bit9 5477 5477 0 965 27385 3ef40eb90eb837f9 fb 87cff5c1ea2766dd
+testbit/1ch/sel=true/bit10 5477 5477 0 1005 27385 3ef40eb90eb837f9 fb 5d9d79289cc17b2b
+testbit/1ch/sel=true/bit11 5477 5477 0 944 27385 3ef40eb90eb837f9 fb fbc9c1afbd215d42
+testbit/1ch/sel=true/bit12 5477 5477 0 995 27385 3ef40eb90eb837f9 fb 7e09b2454127f517
+testbit/1ch/sel=true/bit13 5477 5477 0 972 27385 3ef40eb90eb837f9 fb 8fa34f4bd7e32fcc
+testbit/1ch/sel=true/bit14 5477 5477 0 969 27385 3ef40eb90eb837f9 fb f86ffd312a817476
+testbit/1ch/sel=true/bit15 5477 5477 0 998 27385 3ef40eb90eb837f9 fb ec25687477d150f3
+testbit/1ch/sel=true/bit16 5477 5477 0 988 27385 3ef40eb90eb837f9 fb 43d64072caf993e0
+testbit/1ch/sel=true/bit17 5477 5477 0 960 27385 3ef40eb90eb837f9 fb 2a0575633e363eb4
+testbit/1ch/sel=true/bit18 5477 5477 0 981 27385 3ef40eb90eb837f9 fb 5b334c5993020dac
+testbit/1ch/sel=true/bit19 5477 5477 0 964 27385 3ef40eb90eb837f9 fb 807fbc529e88f5e5
+testbit/1ch/sel=true/bit20 5477 5477 0 974 27385 3ef40eb90eb837f9 fb ea007a5edc4e4ce7
+testbit/1ch/sel=true/bit21 5477 5477 0 975 27385 3ef40eb90eb837f9 fb 754f2f559984eee1
+testbit/1ch/sel=true/bit22 5477 5477 0 999 27385 3ef40eb90eb837f9 fb 56fd15717ddde571
+testbit/1ch/sel=true/bit23 5477 5477 0 951 27385 3ef40eb90eb837f9 fb c31682c60a16b2cc
+testbit/2ch/sel=false/bit0 5477 5477 0 2706 27385 3ef40eb90eb837f9 fb b12d31004ff73be5
+testbit/2ch/sel=false/bit1 5477 5477 0 2738 27385 3ef40eb90eb837f9 fb 44cca04999d3eb85
+testbit/2ch/sel=false/bit2 5477 5477 0 2701 27385 3ef40eb90eb837f9 fb 84c17dddb4756ce5
+testbit/2ch/sel=false/bit3 5477 5477 0 2764 27385 3ef40eb90eb837f9 fb 0f008983f0cd9e55
+testbit/2ch/sel=false/bit4 5477 5477 0 2784 27385 3ef40eb90eb837f9 fb 1c908745a7c18b95
+testbit/2ch/sel=false/bit5 5477 5477 0 2729 27385 3ef40eb90eb837f9 fb 910472947e129f19
+testbit/2ch/sel=false/bit6 5477 5477 0 2650 27385 3ef40eb90eb837f9 fb e8de8220ae02655b
+testbit/2ch/sel=false/bit7 5477 5477 0 2671 27385 3ef40eb90eb837f9 fb 1c812bd879b84b52
+testbit/2ch/sel=false/bit8 5477 5477 0 2685 27385 3ef40eb90eb837f9 fb fd8ee37b0a63ea6b
+testbit/2ch/sel=false/bit9 5477 5477 0 2747 27385 3ef40eb90eb837f9 fb 881e44403fb78e6c
+testbit/2ch/sel=false/bit10 5477 5477 0 2723 27385 3ef40eb90eb837f9 fb c297b388c496aee0
+testbit/2ch/sel=false/bit11 5477 5477 0 2742 27385 3ef40eb90eb837f9 fb f79e714e7413f69e
+testbit/2ch/sel=false/bit12 5477 5477 0 2744 27385 3ef40eb90eb837f9 fb e61322e08780b5a5
+testbit/2ch/sel=false/bit13 5477 5477 0 2747 27385 3ef40eb90eb837f9 fb 617566c733d7314e
+testbit/2ch/sel=false/bit14 5477 5477 0 2701 27385 3ef40eb90eb837f9 fb 0cbf1316dab8eea7
+testbit/2ch/sel=false/bit15 5477 5477 0 2748 27385 3ef40eb90eb837f9 fb 704121c15c49f88a
+testbit/2ch/sel=false/bit16 5477 5477 0 2715 27385 3ef40eb90eb837f9 fb 8b5cf4f919ef221f
+testbit/2ch/sel=false/bit17 5477 5477 0 2750 27385 3ef40eb90eb837f9 fb d9da98bbfc9d0549
+testbit/2ch/sel=false/bit18 5477 5477 0 2731 27385 3ef40eb90eb837f9 fb 5468294cd8e4b632
+testbit/2ch/sel=false/bit19 5477 5477 0 2725 27385 3ef40eb90eb837f9 fb 43e60a56f252aa49
+testbit/2ch/sel=false/bit20 5477 5477 0 2696 27385 3ef40eb90eb837f9 fb 88643397821a239d
+testbit/2ch/sel=false/bit21 5477 5477 0 2750 27385 3ef40eb90eb837f9 fb b5c1f454146e4ce1
+testbit/2ch/sel=false/bit22 5477 5477 0 2689 27385 3ef40eb90eb837f9 fb e29e76bd7b4bd6fa
+testbit/2ch/sel=false/bit23 5477 5477 0 2711 27385 3ef40eb90eb837f9 fb 9bd081ce80869436
+testbit/2ch/sel=true/bit0 5477 5477 0 954 27385 3ef40eb90eb837f9 fb 33eab84feaed2795
+testbit/2ch/sel=true/bit1 5477 5477 0 985 27385 3ef40eb90eb837f9 fb 885c59ba276b6715
+testbit/2ch/sel=true/bit2 5477 5477 0 978 27385 3ef40eb90eb837f9 fb 509617218a58c735
+testbit/2ch/sel=true/bit3 5477 5477 0 981 27385 3ef40eb90eb837f9 fb d65e6b95e6301315
+testbit/2ch/sel=true/bit4 5477 5477 0 1002 27385 3ef40eb90eb837f9 fb 85eab8de17fece95
+testbit/2ch/sel=true/bit5 5477 5477 0 964 27385 3ef40eb90eb837f9 fb 5fc7780c835ea361
+testbit/2ch/sel=true/bit6 5477 5477 0 956 27385 3ef40eb90eb837f9 fb 05e0ed9dcead72df
+testbit/2ch/sel=true/bit7 5477 5477 0 917 27385 3ef40eb90eb837f9 fb e9e1e84e5319adbc
+testbit/2ch/sel=true/bit8 5477 5477 0 969 27385 3ef40eb90eb837f9 fb 92b796d9e3caf988
+testbit/2ch/sel=true/bit9 5477 5477 0 981 27385 3ef40eb90eb837f9 fb 9a186e7dfa31615c
+testbit/2ch/sel=true/bit10 5477 5477 0 994 27385 3ef40eb90eb837f9 fb ae05d9eeda3982ef
+testbit/2ch/sel=true/bit11 5477 5477 0 974 27385 3ef40eb90eb837f9 fb 1de5f3ad0effa380
+testbit/2ch/sel=true/bit12 5477 5477 0 964 27385 3ef40eb90eb837f9 fb 352ce29edd48a92d
+testbit/2ch/sel=true/bit13 5477 5477 0 978 27385 3ef40eb90eb837f9 fb 0181939c5ff6f778
+testbit/2ch/sel=true/bit14 5477 5477 0 946 27385 3ef40eb90eb837f9 fb 58154922a9e65731
+testbit/2ch/sel=true/bit15 5477 5477 0 976 27385 3ef40eb90eb837f9 fb a9604da5bba82062
+testbit/2ch/sel=true/bit16 5477 5477 0 931 27385 3ef40eb90eb837f9 fb 0d5dd1259024b02c
+testbit/2ch/sel=true/bit17 5477 5477 0 956 27385 3ef40eb90eb837f9 fb b2fbaa88d189d24d
+testbit/2ch/sel=true/bit18 5477 5477 0 973 27385 3ef40eb90eb837f9 fb da435ffee970a21a
+testbit/2ch/sel=true/bit19 5477 5477 0 962 27385 3ef40eb90eb837f9 fb 5df58082c8d1c2cb
+testbit/2ch/sel=true/bit20 5477 5477 0 952 27385 3ef40eb90eb837f9 fb ef28dea0c850b263
+testbit/2ch/sel=true/bit21 5477 5477 0 974 27385 3ef40eb90eb837f9 fb c478064083b1e8b1
+testbit/2ch/sel=true/bit22 5477 5477 0 943 27385 3ef40eb90eb837f9 fb 928b1077e01f34e7
+testbit/2ch/sel=true/bit23 5477 5477 0 975 27385 3ef40eb90eb837f9 fb 2ed050c36a000d4c
+testbit/4ch/sel=false/bit0 5477 5477 0 2750 27385 3ef40eb90eb837f9 fb ef460b4ca54b6f65
+testbit/4ch/sel=false/bit1 5477 5477 0 2693 27385 3ef40eb90eb837f9 fb 58531ef687e96985
+testbit/4ch/sel=false/bit2 5477 5477 0 2725 27385 3ef40eb90eb837f9 fb a85ad71272566a65
+testbit/4ch/sel=false/bit3 5477 5477 0 2780 27385 3ef40eb90eb837f9 fb 3610c888e8c76f95
+testbit/4ch/sel=false/bit4 5477 5477 0 2703 27385 3ef40eb90eb837f9 fb 06919b3dfa305415
+testbit/4ch/sel=false/bit5 5477 5477 0 2750 27385 3ef40eb90eb837f9 fb c66d49778ed81a89
+testbit/4ch/sel=false/bit6 5477 5477 0 2820 27385 3ef40eb90eb837f9 fb dcf3298b38a3da65
+testbit/4ch/sel=false/bit7 5477 5477 0 2740 27385 3ef40eb90eb837f9 fb c6ae9b6886e4d838
+testbit/4ch/sel=false/bit8 5477 5477 0 2775 27385 3ef40eb90eb837f9 fb ceb413422ccc4851
+testbit/4ch/sel=false/bit9 5477 5477 0 2763 27385 3ef40eb90eb837f9 fb 3bc4c8c827da07be
+testbit/4ch/sel=false/bit10 5477 5477 0 2758 27385 3ef40eb90eb837f9 fb 273edb9aa0230afb
+testbit/4ch/sel=false/bit11 5477 5477 0 2776 27385 3ef40eb90eb837f9 fb 87d1c5d10aecb1ba
+testbit/4ch/sel=false/bit12 5477 5477 0 2725 27385 3ef40eb90eb837f9 fb 2fdb9e58b0d1356b
+testbit/4ch/sel=false/bit13 5477 5477 0 2753 27385 3ef40eb90eb837f9 fb ccb7972cee49c228
+testbit/4ch/sel=false/bit14 5477 5477 0 2745 27385 3ef40eb90eb837f9 fb e86547ec84fae31e
+testbit/4ch/sel=false/bit15 5477 5477 0 2750 27385 3ef40eb90eb837f9 fb b7d677b95dea3df6
+testbit/4ch/sel=false/bit16 5477 5477 0 2709 27385 3ef40eb90eb837f9 fb 3ed923a64563920c
+testbit/4ch/sel=false/bit17 5477 5477 0 2780 27385 3ef40eb90eb837f9 fb 710aaf55464b2db0
+testbit/4ch/sel=false/bit18 5477 5477 0 2737 27385 3ef40eb90eb837f9 fb f478c1699159b82f
+testbit/4ch/sel=false/bit19 5477 5477 0 2717 27385 3ef40eb90eb837f9 fb 1fc29a9569e80270
+testbit/4ch/sel=false/bit20 5477 5477 0 2770 27385 3ef40eb90eb837f9 fb c9af90b359b34f6c
+testbit/4ch/sel=false/bit21 5477 5477 0 2673 27385 3ef40eb90eb837f9 fb 884670bf2e710af6
+testbit/4ch/sel=false/bit22 5477 5477 0 2699 27385 3ef40eb90eb837f9 fb 24461794632bdf77
+testbit/4ch/sel=false/bit23 5477 5477 0 2681 27385 3ef40eb90eb837f9 fb bedd6f3b53146632
+testbit/4ch/sel=true/bit0 5477 5477 0 965 27385 3ef40eb90eb837f9 fb ab258f1a0ba20a35
+testbit/4ch/sel=true/bit1 5477 5477 0 964 27385 3ef40eb90eb837f9 fb c334bf5e1b9082d5
+testbit/4ch/sel=true/bit2 5477 5477 0 966 27385 3ef40eb90eb837f9 fb 0621e17c4fb499b5
+testbit/4ch/sel=true/bit3 5477 5477 0 1001 27385 3ef40eb90eb837f9 fb edb050937d61a8a5
+testbit/4ch/sel=true/bit4 5477 5477 0 942 27385 3ef40eb90eb837f9 fb 8aea4a1911ab1e1d
+testbit/4ch/sel=true/bit5 5477 5477 0 965 27385 3ef40eb90eb837f9 fb 7cbeb8a67a9a1c9d
+testbit/4ch/sel=true/bit6 5477 5477 0 1007 27385 3ef40eb90eb837f9 fb a417d165f6b61d5f
+testbit/4ch/sel=true/bit7 5477 5477 0 953 27385 3ef40eb90eb837f9 fb 24ad33506baa0dad
+testbit/4ch/sel=true/bit8 5477 5477 0 990 27385 3ef40eb90eb837f9 fb 91ecc419394d8757
+testbit/4ch/sel=true/bit9 5477 5477 0 1003 27385 3ef40eb90eb837f9 fb 207f640dd5525a86
+testbit/4ch/sel=true/bit10 5477 5477 0 977 27385 3ef40eb90eb837f9 fb 789a8f3fd6bc50e6
+testbit/4ch/sel=true/bit11 5477 5477 0 998 27385 3ef40eb90eb837f9 fb 8d16a1a03219fb69
+testbit/4ch/sel=true/bit12 5477 5477 0 993 27385 3ef40eb90eb837f9 fb 56e7fea04e447734
+testbit/4ch/sel=true/bit13 5477 5477 0 965 27385 3ef40eb90eb837f9 fb 7ae77e46d162d207
+testbit/4ch/sel=true/bit14 5477 5477 0 986 27385 3ef40eb90eb837f9 fb 5e30db242f00ded6
+testbit/4ch/sel=true/bit15 5477 5477 0 956 27385 3ef40eb90eb837f9 fb 2c1c8ecd0e184eb9
+testbit/4ch/sel=true/bit16 5477 5477 0 955 27385 3ef40eb90eb837f9 fb 6a4c8faf3c201cd9
+testbit/4ch/sel=true/bit17 5477 5477 0 951 27385 3ef40eb90eb837f9 fb c3990310ca73302d
+testbit/4ch/sel=true/bit18 5477 5477 0 956 27385 3ef40eb90eb837f9 fb 6891e4dde17d7b08
+testbit/4ch/sel=true/bit19 5477 5477 0 966 27385 3ef40eb90eb837f9 fb d8e22671dbf51a4f
+testbit/4ch/sel=true/bit20 5477 5477 0 977 27385 3ef40eb90eb837f9 fb 89edf17b0d31c7f6
+testbit/4ch/sel=true/bit21 5477 5477 0 968 27385 3ef40eb90eb837f9 fb 53390dd892d6086a
+testbit/4ch/sel=true/bit22 5477 5477 0 964 27385 3ef40eb90eb837f9 fb 3aa8cbb651094f34
+testbit/4ch/sel=true/bit23 5477 5477 0 971 27385 3ef40eb90eb837f9 fb 8394ba1c1492603e
+copytodepth/1ch 5477 5477 0 5477 21908 3ef276540257220e fb 762d59c624de5130
+copytodepth/2ch 5477 5477 0 5477 21908 3ef276540257220e fb aa52559bc04c150f
+copytodepth/4ch 5477 5477 0 5477 21908 3ef276540257220e fb f54e754949505aa2
+semilinear/Never/sel=false/scissor=false 5477 5477 0 0 38339 3ef73f83277a63ce fb 84f5329cb090ff25
+semilinear/Never/sel=false/scissor=true 4350 4350 0 0 30450 3ef49f3b0adf9ea8 fb 84f5329cb090ff25
+semilinear/Never/sel=true/scissor=false 5477 5477 0 0 38339 3ef73f83277a63ce fb a9bd91bb50efacd5
+semilinear/Never/sel=true/scissor=true 4350 4350 0 0 30450 3ef49f3b0adf9ea8 fb a9bd91bb50efacd5
+semilinear/Less/sel=false/scissor=false 5477 5477 0 3520 38339 3ef73f83277a63ce fb ec96e8bfd4079f03
+semilinear/Less/sel=false/scissor=true 4350 4350 0 2799 30450 3ef49f3b0adf9ea8 fb f3641c6823c74543
+semilinear/Less/sel=true/scissor=false 5477 5477 0 1238 38339 3ef73f83277a63ce fb 30bf5727032e4614
+semilinear/Less/sel=true/scissor=true 4350 4350 0 1038 30450 3ef49f3b0adf9ea8 fb b31a5e8f31262512
+semilinear/Equal/sel=false/scissor=false 5477 5477 0 19 43816 3ef8d7e833db79b9 fb 1b123037120be09a
+semilinear/Equal/sel=false/scissor=true 4350 4350 0 16 34800 3ef5e39713ad5bee fb 2c30b77dcdae1235
+semilinear/Equal/sel=true/scissor=false 5477 5477 0 7 43816 3ef8d7e833db79b9 fb aaa563039f40fe1c
+semilinear/Equal/sel=true/scissor=true 4350 4350 0 5 34800 3ef5e39713ad5bee fb 8efbd858b3839f70
+semilinear/LessEqual/sel=false/scissor=false 5477 5477 0 3539 38339 3ef73f83277a63ce fb 925c815a6cd38d68
+semilinear/LessEqual/sel=false/scissor=true 4350 4350 0 2815 30450 3ef49f3b0adf9ea8 fb 4d26d63da5cfcc93
+semilinear/LessEqual/sel=true/scissor=false 5477 5477 0 1245 38339 3ef73f83277a63ce fb 367506a8484f66e9
+semilinear/LessEqual/sel=true/scissor=true 4350 4350 0 1043 30450 3ef49f3b0adf9ea8 fb 445ffbc601bc4113
+semilinear/Greater/sel=false/scissor=false 5477 5477 0 1938 38339 3ef73f83277a63ce fb 695080f02d989245
+semilinear/Greater/sel=false/scissor=true 4350 4350 0 1535 30450 3ef49f3b0adf9ea8 fb 42b560bdb5dad39b
+semilinear/Greater/sel=true/scissor=false 5477 5477 0 691 38339 3ef73f83277a63ce fb 88376e36da3fbb33
+semilinear/Greater/sel=true/scissor=true 4350 4350 0 574 30450 3ef49f3b0adf9ea8 fb 3f1f9b5f2ec259f8
+semilinear/NotEqual/sel=false/scissor=false 5477 5477 0 5458 43816 3ef8d7e833db79b9 fb 8460fb3a2226f813
+semilinear/NotEqual/sel=false/scissor=true 4350 4350 0 4334 34800 3ef5e39713ad5bee fb 0ca39e5adcc3dc0d
+semilinear/NotEqual/sel=true/scissor=false 5477 5477 0 1929 43816 3ef8d7e833db79b9 fb 6e544c021250dade
+semilinear/NotEqual/sel=true/scissor=true 4350 4350 0 1612 34800 3ef5e39713ad5bee fb 5853cf73b7038adb
+semilinear/GreaterEqual/sel=false/scissor=false 5477 5477 0 1957 38339 3ef73f83277a63ce fb 0cae37b4d803c7ca
+semilinear/GreaterEqual/sel=false/scissor=true 4350 4350 0 1551 30450 3ef49f3b0adf9ea8 fb 1519755a11d6cbfb
+semilinear/GreaterEqual/sel=true/scissor=false 5477 5477 0 698 38339 3ef73f83277a63ce fb bcf85ec5a7ed84fe
+semilinear/GreaterEqual/sel=true/scissor=true 4350 4350 0 579 30450 3ef49f3b0adf9ea8 fb c4dad852ba0ed3c1
+semilinear/Always/sel=false/scissor=false 5477 5477 0 5477 38339 3ef73f83277a63ce fb cb5ad79fafb1a748
+semilinear/Always/sel=false/scissor=true 4350 4350 0 4350 30450 3ef49f3b0adf9ea8 fb c394de98ceb7608d
+semilinear/Always/sel=true/scissor=false 5477 5477 0 1936 38339 3ef73f83277a63ce fb ad62b9ea196b04c7
+semilinear/Always/sel=true/scissor=true 4350 4350 0 1617 30450 3ef49f3b0adf9ea8 fb 81ee980c8503b8d6
+earlyz/copy 43520 43520 0 43520 174080 3f127772571d9495 fb 627bdec431548f60
+earlyz/less 43520 21840 21680 21840 87360 3f084dbcc2c346b2 fb 05e057645b6c5693
+";
+
+#[test]
+fn program_draws_match_recorded_pins() {
+    let mut actual = Vec::new();
+    test_bit_cases(&mut actual);
+    copy_to_depth_cases(&mut actual);
+    semilinear_cases(&mut actual);
+    early_z_case(&mut actual);
+    let actual = actual.join("\n") + "\n";
+    if actual != EXPECTED {
+        let diff: Vec<String> = EXPECTED
+            .lines()
+            .zip(actual.lines())
+            .filter(|(e, a)| e != a)
+            .map(|(e, a)| format!("  expected {e}\n  actual   {a}"))
+            .take(10)
+            .collect();
+        panic!(
+            "draw pins moved ({} expected lines, {} actual); first differences:\n{}\n\
+             actual table:\n{actual}",
+            EXPECTED.lines().count(),
+            actual.lines().count(),
+            diff.join("\n")
+        );
+    }
+}
