@@ -14,7 +14,10 @@
 //!   compiler from a bound program to the row-span kernel every draw
 //!   runs, the reference interpreter, and the paper's builtin programs;
 //! * [`raster`] / `pipeline` — screen-aligned quad rasterization through
-//!   the authentic per-fragment test sequence, with early-z modeling;
+//!   the authentic per-fragment test sequence, with early-z modeling. Both
+//!   shading and the fixed-function tests run a row span of up to 64
+//!   fragments at a time; the tests are lowered once per draw and give
+//!   each fragment exactly the per-fragment sequence's outcome;
 //! * [`device`] — the stateful [`device::Gpu`] facade with occlusion
 //!   queries and costed transfers;
 //! * [`cost`] / [`stats`] — a cycle cost model calibrated against the

@@ -168,9 +168,12 @@ pub struct SpanRegisters {
 /// The outputs of one shaded span, lane by lane.
 #[derive(Debug, Clone, Copy)]
 pub struct ShadedSpan<'r> {
-    color: [&'r Lanes; 4],
-    depth: Option<&'r Lanes>,
-    killed: u64,
+    /// `result.color`, one array per channel.
+    pub(crate) color: [&'r Lanes; 4],
+    /// `result.depth`, if the program writes it.
+    pub(crate) depth: Option<&'r Lanes>,
+    /// The lanes a `KIL` discarded.
+    pub(crate) killed: u64,
 }
 
 impl ShadedSpan<'_> {
@@ -232,8 +235,8 @@ impl<'a> SpanKernel<'a> {
                     let a = &src[a];
                     match f {
                         Unary::Neg => map1(out, a, |x| -x),
-                        Unary::Frc => map1(out, a, |x| x - x.floor()),
-                        Unary::Flr => map1(out, a, f32::floor),
+                        Unary::Frc => map1(out, a, |x| x - floor(x)),
+                        Unary::Flr => map1(out, a, floor),
                         Unary::Abs => map1(out, a, f32::abs),
                         Unary::Rcp => map1(out, a, |x| 1.0 / x),
                         Unary::Rsq => map1(out, a, |x| 1.0 / x.abs().sqrt()),
@@ -309,6 +312,22 @@ impl<'a> SpanKernel<'a> {
 fn split(slots: &mut [Lanes], d: usize) -> (&[Lanes], &mut Lanes) {
     let (src, rest) = slots.split_at_mut(d);
     (src, &mut rest[0])
+}
+
+/// `f32::floor`, bit for bit (NaN stays NaN), in a form the optimizer
+/// vectorizes: baseline x86-64 has no SSE4.1 `roundps`, so `f32::floor`
+/// is a libm call per lane. Values of magnitude 2^23 and up (and NaN,
+/// ±inf) are already integral; below that, truncating through `i32` is
+/// exact, stepping down corrects negative non-integers, and `copysign`
+/// restores the sign of -0.0 and of values in (-1, -0.0).
+#[inline(always)]
+fn floor(x: f32) -> f32 {
+    if x.abs() < 8_388_608.0 {
+        let t = (x as i32) as f32;
+        (if t > x { t - 1.0 } else { t }).copysign(x)
+    } else {
+        x
+    }
 }
 
 #[inline(always)]
@@ -730,6 +749,56 @@ mod tests {
                 assert_eq!(texel_coord(c, w), x.min(w - 1), "x = {x}, w = {w}");
             }
         }
+    }
+
+    /// `floor` against `f32::floor` on every f32 bit pattern in optimized
+    /// builds (a strided sweep in debug builds), plus the edge values.
+    #[test]
+    fn floor_matches_f32_floor() {
+        let stride = if cfg!(debug_assertions) { 65_537 } else { 1 };
+        let edges = [
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            8_388_607.5,
+            -8_388_607.5,
+            8_388_608.0,
+            -8_388_608.0,
+            16_777_217.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let check = |x: f32| {
+            let (got, want) = (floor(x), x.floor());
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "floor({x:e}) = {got:e}, want {want:e} (bits {:08x})",
+                x.to_bits()
+            );
+        };
+        edges.into_iter().for_each(check);
+        // Four quarters of the bit patterns on parallel threads.
+        std::thread::scope(|scope| {
+            for quarter in 0..4u32 {
+                let start = quarter << 30;
+                scope.spawn(move || {
+                    (start..=start | ((1 << 30) - 1))
+                        .step_by(stride)
+                        .for_each(|bits| check(f32::from_bits(bits)))
+                });
+            }
+        });
     }
 
     /// Shade pixels `xs` of row `y` span by span with the kernel and one

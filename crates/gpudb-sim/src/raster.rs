@@ -4,20 +4,22 @@
 //! screen-filling quadrilaterals ("To perform computations on the values
 //! stored in a texture, we render a single quadrilateral that covers the
 //! window" — §3.3). The rasterizer turns a set of axis-aligned rectangles
-//! into fragments and pushes each through the per-fragment pipeline. A
-//! bound fragment program is compiled once per draw into a
-//! [`SpanKernel`], which shades each row span of up to [`SPAN`] fragments
-//! before the fixed-function tests run on its outputs.
+//! into fragments and pushes them through the per-fragment pipeline a row
+//! span of up to [`SPAN`] fragments at a time. Per draw, a bound fragment
+//! program is compiled into a [`SpanKernel`] and the fixed-function tests
+//! are lowered into [`SpanTests`]; each span is shaded by the one and
+//! tested by the other.
 
 use crate::buffers::Framebuffer;
 use crate::cost::{DrawCost, HardwareProfile};
-use crate::pipeline::{early_tests_eligible, process_fixed, run_tests, write_color, FbBand};
+use crate::pipeline::{early_tests_eligible, span_lanes, FbBand, SpanTests};
 use crate::program::compiled::{SpanKernel, SpanRegisters, SPAN};
 use crate::program::interp::FragmentContext;
 use crate::program::isa::FragmentProgram;
 use crate::state::PipelineState;
 use crate::texture::Texture;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// An axis-aligned pixel rectangle, the rasterizer's primitive.
@@ -119,15 +121,15 @@ struct Shader<'k, 'a> {
 }
 
 /// Rasterize one row band: process every rect pixel whose row falls in
-/// `[row_start, row_end)`.
+/// `rows`, up to [`SPAN`] pixels of a row at a time.
 fn rasterize_band(
     inputs: &DrawInputs<'_>,
+    tests: &SpanTests,
     kernel: Option<&SpanKernel<'_>>,
     band: &mut FbBand<'_>,
     rects: &[Rect],
     fb_width: usize,
-    row_start: usize,
-    row_end: usize,
+    rows: Range<usize>,
 ) -> DrawCost {
     let state = inputs.state;
     let mut shader = kernel.zip(inputs.program).map(|(kernel, program)| Shader {
@@ -137,34 +139,21 @@ fn rasterize_band(
     });
     let mut cost = DrawCost::default();
     for rect in rects {
-        let y0 = rect.y.max(row_start);
-        let y1 = (rect.y + rect.height).min(row_end);
+        let y0 = rect.y.max(rows.start);
+        let y1 = (rect.y + rect.height).min(rows.end);
         for y in y0..y1 {
             let xs = state.scissor.clip_row(y, rect.x, rect.x + rect.width);
-            if xs.is_empty() {
-                continue;
-            }
             cost.fragments += xs.len() as u64;
-            let row_base = y * fb_width;
-            match &mut shader {
-                None => {
-                    for x in xs {
-                        if process_fixed(
-                            state,
-                            band,
-                            row_base + x,
-                            inputs.quad_depth,
-                            inputs.draw_color,
-                        ) {
-                            cost.passed += 1;
-                        }
+            for x in xs.clone().step_by(SPAN) {
+                let len = (xs.end - x).min(SPAN);
+                let first = y * fb_width + x;
+                match &mut shader {
+                    None => {
+                        let pass = tests.run(band, first, len, span_lanes(len), None, None);
+                        cost.passed += u64::from(pass.count_ones());
+                        tests.write_colors(band, first, pass, |_| inputs.draw_color);
                     }
-                }
-                Some(shader) => {
-                    for x in xs.clone().step_by(SPAN) {
-                        let len = (xs.end - x).min(SPAN);
-                        shade_span(inputs, shader, band, x, y, row_base, len, &mut cost);
-                    }
+                    Some(shader) => shade_span(tests, shader, band, x, y, first, len, &mut cost),
                 }
             }
         }
@@ -172,76 +161,54 @@ fn rasterize_band(
     cost
 }
 
-/// Shade and test the `len` fragments at pixels `(x..x + len, y)`.
+/// Shade and test the `len` fragments at pixels `(x..x + len, y)`, whose
+/// global index starts at `first`.
 #[allow(clippy::too_many_arguments)]
 fn shade_span(
-    inputs: &DrawInputs<'_>,
+    tests: &SpanTests,
     shader: &mut Shader<'_, '_>,
     band: &mut FbBand<'_>,
     x: usize,
     y: usize,
-    row_base: usize,
+    first: usize,
     len: usize,
     cost: &mut DrawCost,
 ) {
-    let state = inputs.state;
-    let first = row_base + x;
     if shader.early {
         // Early path: the incoming depth is the quad depth and the program
         // cannot discard, so run all tests first and shade only spans with
         // survivors (this is what makes early depth-culling "a significant
         // performance increase", §6.2.1).
-        let mut survivors = 0u64;
-        for lane in 0..len {
-            if run_tests(
-                state,
-                band,
-                first + lane,
-                inputs.quad_depth,
-                inputs.draw_color[3],
-            ) {
-                survivors |= 1 << lane;
-            }
-        }
+        let survivors = tests.run(band, first, len, span_lanes(len), None, None);
         let passed = u64::from(survivors.count_ones());
         cost.passed += passed;
         cost.early_rejected += len as u64 - passed;
         // With every color channel masked nothing the program computes is
         // observable: the hardware passes the fragments but skips shading.
-        if survivors == 0 || !state.color_mask.any() {
+        if survivors == 0 || !tests.writes_color() {
             return;
         }
         cost.shaded += passed;
         let out = shader.kernel.shade(&mut shader.regs, x, y);
-        while survivors != 0 {
-            let lane = survivors.trailing_zeros() as usize;
-            survivors &= survivors - 1;
-            write_color(state, band, first + lane, out.color(lane));
-        }
+        tests.write_colors(band, first, survivors, |l| out.color(l));
     } else {
-        // Late path: shade first, then test.
+        // Late path: shade first, then test the lanes `KIL` spared.
         cost.shaded += len as u64;
         let out = shader.kernel.shade(&mut shader.regs, x, y);
-        for lane in 0..len {
-            if out.killed(lane) {
-                continue;
-            }
-            let depth = out.depth(lane).unwrap_or(inputs.quad_depth);
-            let color = out.color(lane);
-            if run_tests(state, band, first + lane, depth, color[3]) {
-                write_color(state, band, first + lane, color);
-                cost.passed += 1;
-            }
-        }
+        let live = span_lanes(len) & !out.killed;
+        let pass = tests.run(band, first, len, live, out.depth, Some(out.color[3]));
+        cost.passed += u64::from(pass.count_ones());
+        tests.write_colors(band, first, pass, |l| out.color(l));
     }
 }
 
 /// Rasterize `rects` into `fb`, returning the pass accounting.
 ///
 /// Rectangles must already be validated against the framebuffer size.
-/// Large draws are split into disjoint row bands processed on parallel
-/// host threads — the simulation analogue of the device's parallel pixel
-/// pipes (results are identical: bands never share pixels).
+/// Large draws split the rows the rects cover into disjoint bands, one per
+/// host thread, the last on the calling thread — the simulation analogue
+/// of the device's parallel pixel pipes (results are identical: bands
+/// never share pixels).
 pub(crate) fn rasterize(
     inputs: &DrawInputs<'_>,
     fb: &mut Framebuffer,
@@ -249,8 +216,9 @@ pub(crate) fn rasterize(
     profile: &HardwareProfile,
 ) -> DrawCost {
     let fb_width = fb.width();
-    let fb_height = fb.height();
     let area: usize = rects.iter().map(Rect::area).sum();
+    let rows = rects.iter().map(|r| r.y).min().unwrap_or(0)
+        ..rects.iter().map(|r| r.y + r.height).max().unwrap_or(0);
     let threads = raster_workers();
     let ctx = FragmentContext {
         textures: inputs.textures,
@@ -260,24 +228,27 @@ pub(crate) fn rasterize(
         .program
         .map(|p| SpanKernel::compile(p, &ctx, inputs.quad_depth, inputs.draw_color));
     let kernel = kernel.as_ref();
+    let tests = SpanTests::lower(inputs.state, inputs.quad_depth, inputs.draw_color[3]);
+    let tests = &tests;
 
-    let mut cost = if area < PARALLEL_THRESHOLD || threads < 2 || fb_height < 2 {
+    let mut cost = if area < PARALLEL_THRESHOLD || threads < 2 || rows.len() < 2 {
         let mut band = FbBand::full(fb);
-        rasterize_band(inputs, kernel, &mut band, rects, fb_width, 0, fb_height)
+        rasterize_band(inputs, tests, kernel, &mut band, rects, fb_width, rows)
     } else {
-        // Split the framebuffer into contiguous row bands, one per worker.
-        let bands = threads.min(fb_height);
-        let rows_per_band = fb_height.div_ceil(bands);
-        let mut color_rest = fb.color.data_mut();
-        let mut depth_rest = fb.depth.raw_data_mut();
-        let mut stencil_rest = fb.stencil.data_mut();
+        // Split the covered rows into contiguous bands, one per worker.
+        let bands = threads.min(rows.len());
+        let rows_per_band = rows.len().div_ceil(bands);
+        let skip = rows.start * fb_width;
+        let mut color_rest = &mut fb.color.data_mut()[skip..];
+        let mut depth_rest = &mut fb.depth.raw_data_mut()[skip..];
+        let mut stencil_rest = &mut fb.stencil.data_mut()[skip..];
 
-        let mut partials: Vec<DrawCost> = Vec::new();
+        let mut total = DrawCost::default();
         crossbeam::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(bands);
-            let mut row = 0usize;
-            while row < fb_height {
-                let row_end = (row + rows_per_band).min(fb_height);
+            let mut row = rows.start;
+            while row < rows.end {
+                let row_end = (row + rows_per_band).min(rows.end);
                 let band_px = (row_end - row) * fb_width;
                 let (color_band, c_rest) = color_rest.split_at_mut(band_px);
                 let (depth_band, d_rest) = depth_rest.split_at_mut(band_px);
@@ -285,35 +256,33 @@ pub(crate) fn rasterize(
                 color_rest = c_rest;
                 depth_rest = d_rest;
                 stencil_rest = s_rest;
-                let base = row * fb_width;
-                let row_start = row;
-                handles.push(scope.spawn(move |_| {
-                    let mut band = FbBand {
-                        color: color_band,
-                        depth: depth_band,
-                        stencil: stencil_band,
-                        base,
-                    };
-                    rasterize_band(
-                        inputs, kernel, &mut band, rects, fb_width, row_start, row_end,
-                    )
-                }));
+                let mut band = FbBand {
+                    color: color_band,
+                    depth: depth_band,
+                    stencil: stencil_band,
+                    base: row * fb_width,
+                };
+                let band_rows = row..row_end;
                 row = row_end;
+                if row < rows.end {
+                    handles.push(scope.spawn(move |_| {
+                        rasterize_band(inputs, tests, kernel, &mut band, rects, fb_width, band_rows)
+                    }));
+                } else {
+                    total = rasterize_band(
+                        inputs, tests, kernel, &mut band, rects, fb_width, band_rows,
+                    );
+                }
             }
-            partials = handles
-                .into_iter()
-                .map(|h| h.join().expect("raster worker panicked"))
-                .collect();
+            for h in handles {
+                let p = h.join().expect("raster worker panicked");
+                total.fragments += p.fragments;
+                total.shaded += p.shaded;
+                total.early_rejected += p.early_rejected;
+                total.passed += p.passed;
+            }
         })
         .expect("raster scope panicked");
-
-        let mut total = DrawCost::default();
-        for p in partials {
-            total.fragments += p.fragments;
-            total.shaded += p.shaded;
-            total.early_rejected += p.early_rejected;
-            total.passed += p.passed;
-        }
         total
     };
 

@@ -1,20 +1,24 @@
 //! Draw-level pins: framebuffer bytes and `DrawCost` of the paper's
-//! program passes, recorded once and compared exactly.
+//! program and fixed-function passes, recorded once and compared exactly.
 //!
 //! Every case runs one or more draws on a fresh device and reduces the
 //! resulting color, depth and stencil buffers to an FNV-1a digest, next to
 //! the exact `DrawCost` fields (`modeled_seconds` by its bit pattern). The
-//! expected table was recorded from the per-fragment interpreter that
+//! program table was recorded from the per-fragment interpreter that
 //! shaded every draw before fragment programs were compiled into span
-//! kernels, so any change in how the host executes a program that moves a
-//! single bit of output or accounting fails here.
+//! kernels; the fixed-function table from the per-fragment test sequence
+//! that ran before the tests were batched a row span at a time. Any change
+//! in how the host executes a draw that moves a single bit of output or
+//! accounting fails here.
 //!
 //! To regenerate after an intended change, run the test and copy the
 //! `actual` table it prints on mismatch.
 
 use gpudb_sim::program::builtin;
 use gpudb_sim::state::{ColorMask, ScissorState};
-use gpudb_sim::{CompareFunc, DrawCost, Gpu, Rect, StencilOp, Texture, TextureFormat};
+use gpudb_sim::{
+    CompareFunc, DrawCost, Gpu, HardwareProfile, Rect, StencilOp, Texture, TextureFormat,
+};
 
 /// Texture width of the small cases: two full 64-fragment spans and a
 /// partial one per row.
@@ -187,17 +191,7 @@ fn copy_to_depth_cases(out: &mut Vec<String>) {
 /// selection and a scissor. The scissored draws cover the whole (wider)
 /// framebuffer, so they also sample past the texture's right edge.
 fn semilinear_cases(out: &mut Vec<String>) {
-    let funcs = [
-        CompareFunc::Never,
-        CompareFunc::Less,
-        CompareFunc::Equal,
-        CompareFunc::LessEqual,
-        CompareFunc::Greater,
-        CompareFunc::NotEqual,
-        CompareFunc::GreaterEqual,
-        CompareFunc::Always,
-    ];
-    for func in funcs {
+    for func in ALL_FUNCS {
         for selected in [false, true] {
             for scissored in [false, true] {
                 let mut gpu = device_with(real_texture(W, 37, 31));
@@ -274,6 +268,314 @@ fn early_z_case(out: &mut Vec<String>) {
     gpu.set_depth_write(false);
     let shade = gpu.draw_full_quad(0.5).unwrap();
     record(out, "earlyz/less".to_string(), &mut gpu, &shade);
+}
+
+const ALL_FUNCS: [CompareFunc; 8] = [
+    CompareFunc::Never,
+    CompareFunc::Less,
+    CompareFunc::Equal,
+    CompareFunc::LessEqual,
+    CompareFunc::Greater,
+    CompareFunc::NotEqual,
+    CompareFunc::GreaterEqual,
+    CompareFunc::Always,
+];
+
+/// A fixed-function device with a seeded attribute in the depth buffer,
+/// seeded stencil bits and a non-black color buffer. The depth copy is a
+/// program draw (pinned above); the stencil bits come from fixed-function
+/// draws over seeded row segments, one write-masked `Invert` per bit.
+fn fixed_device(w: usize, h: usize, seed: u64) -> Gpu {
+    let mut gpu = Gpu::new(HardwareProfile::geforce_fx_5900_with_depth_mask(), w, h);
+    let id = gpu
+        .create_texture(int_texture(w, h, TextureFormat::R, seed))
+        .unwrap();
+    gpu.bind_texture(0, Some(id)).unwrap();
+    gpu.bind_program(Some(builtin::copy_to_depth()));
+    gpu.set_program_env(
+        builtin::ENV_SCALE,
+        [1.0 / gpudb_sim::buffers::DEPTH_SCALE as f32, 0.0, 0.0, 0.0],
+    )
+    .unwrap();
+    gpu.set_program_env(builtin::ENV_CHANNEL, builtin::channel_selector(0))
+        .unwrap();
+    gpu.set_color_mask(ColorMask::NONE);
+    gpu.set_depth_test(false, CompareFunc::Always);
+    gpu.set_depth_write(true);
+    gpu.draw_full_quad(0.0).unwrap();
+    gpu.reset_state();
+    gpu.bind_program(None);
+
+    let mut rng = Lcg(seed ^ 0x5eed);
+    gpu.clear_color([0.125, 0.25, 0.375, 0.5]);
+    gpu.clear_stencil(0);
+    gpu.set_color_mask(ColorMask::NONE);
+    gpu.set_depth_write(false);
+    gpu.set_stencil_func(true, CompareFunc::Always, 0, 0xFF);
+    gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Invert);
+    for bit in 0..8 {
+        gpu.set_stencil_write_mask(1 << bit);
+        let rects: Vec<Rect> = (0..h)
+            .map(|y| {
+                let x = rng.next() as usize % w;
+                Rect::new(x, y, rng.next() as usize % (w - x + 1), 1)
+            })
+            .collect();
+        gpu.draw_quad(&rects, 0.0).unwrap();
+    }
+    gpu.reset_state();
+    gpu
+}
+
+/// Fixed-function draws: every stencil func under three op triples with
+/// partial value/write masks; depth bounds; every depth func under a
+/// non-default compare mask with depth writes on and off, at quad depths
+/// inside and outside [0, 1]; the alpha test on a flat color; a partial
+/// color mask, a scissor and a partial last row. Each draw runs on the
+/// framebuffer the previous one left, so stencil values keep evolving.
+fn fixed_function_cases(out: &mut Vec<String>) {
+    let mut gpu = fixed_device(FB_W, FB_H, 51);
+    let prefix = Rect::covering_prefix(N, W);
+    gpu.set_draw_color([0.75, 0.5, 0.25, 1.0]);
+    gpu.set_color_mask(ColorMask {
+        red: true,
+        green: false,
+        blue: true,
+        alpha: false,
+    });
+    gpu.set_depth_test(true, CompareFunc::Less);
+    gpu.set_depth_write(false);
+    gpu.set_stencil_write_mask(0xF3);
+    let triples = [
+        (StencilOp::Keep, StencilOp::Invert, StencilOp::IncrWrap),
+        (StencilOp::Invert, StencilOp::IncrWrap, StencilOp::Keep),
+        (StencilOp::IncrWrap, StencilOp::Keep, StencilOp::Invert),
+    ];
+    for (t, (fail, zfail, zpass)) in triples.into_iter().enumerate() {
+        gpu.set_stencil_op(fail, zfail, zpass);
+        for func in ALL_FUNCS {
+            gpu.set_stencil_func(true, func, 0x5A, 0x3C);
+            let cost = gpu.draw_quad(&prefix, 0.5).unwrap();
+            record(
+                out,
+                format!("fixed/stencil/{func:?}/ops{t}"),
+                &mut gpu,
+                &cost,
+            );
+        }
+    }
+
+    gpu.reset_state();
+    gpu.set_draw_color([0.0, 1.0, 0.5, 0.75]);
+    gpu.set_stencil_func(true, CompareFunc::NotEqual, 3, 0x0F);
+    gpu.set_stencil_op(StencilOp::Zero, StencilOp::Incr, StencilOp::Replace);
+    gpu.set_depth_bounds(true, 0.25, 0.75).unwrap();
+    gpu.set_depth_test(false, CompareFunc::Always);
+    gpu.set_depth_write(false);
+    let cost = gpu.draw_quad(&prefix, 0.5).unwrap();
+    record(out, "fixed/bounds".to_string(), &mut gpu, &cost);
+
+    // Depth funcs under a compare mask: read-only inside the depth bounds,
+    // then writing on a fresh device per func, so each func sees the
+    // seeded depths before its own writes reach them.
+    gpu.set_stencil_func(false, CompareFunc::Always, 0, 0xFF);
+    gpu.set_depth_compare_mask(0x00F0_F0F0).unwrap();
+    for write in [false, true] {
+        for (f, func) in ALL_FUNCS.into_iter().enumerate() {
+            if write {
+                gpu = fixed_device(FB_W, FB_H, 52 + f as u64);
+                gpu.set_draw_color([0.0, 1.0, 0.5, 0.75]);
+                gpu.set_depth_compare_mask(0x00F0_F0F0).unwrap();
+            }
+            gpu.set_depth_write(write);
+            gpu.set_depth_test(true, func);
+            for depth in [0.625f32, 0.375, 1.25, -0.25] {
+                let cost = gpu.draw_quad(&prefix, depth).unwrap();
+                let name = format!("fixed/mask/{func:?}/write={write}/d={depth}");
+                record(out, name, &mut gpu, &cost);
+            }
+        }
+    }
+
+    gpu.reset_state();
+    gpu.set_stencil_func(true, CompareFunc::Always, 0x81, 0xFF);
+    gpu.set_stencil_op(StencilOp::Replace, StencilOp::Replace, StencilOp::Replace);
+    gpu.set_alpha_test(true, CompareFunc::GreaterEqual, 0.5);
+    for alpha in [0.25f32, 0.5] {
+        gpu.set_draw_color([0.5, 0.5, 0.5, alpha]);
+        let cost = gpu.draw_quad(&prefix, 0.5).unwrap();
+        record(out, format!("fixed/alpha={alpha}"), &mut gpu, &cost);
+    }
+
+    gpu.reset_state();
+    gpu.set_draw_color([1.0, 0.0, 0.75, 0.25]);
+    gpu.set_color_mask(ColorMask {
+        red: false,
+        green: true,
+        blue: false,
+        alpha: true,
+    });
+    gpu.set_scissor(ScissorState {
+        enabled: true,
+        x: 70,
+        y: 2,
+        width: 83,
+        height: 35,
+    });
+    gpu.set_depth_test(true, CompareFunc::GreaterEqual);
+    gpu.set_depth_write(true);
+    let cost = gpu.draw_quad(&prefix, 0.5).unwrap();
+    record(out, "fixed/scissor".to_string(), &mut gpu, &cost);
+}
+
+/// Fixed-function draws large enough to fan out across raster bands: one
+/// over the whole framebuffer, one over its top rows only (the way an
+/// out-of-core chunk covers the front of a full-table framebuffer) and one
+/// over a block of lower rows.
+fn fixed_banded_cases(out: &mut Vec<String>) {
+    let mut gpu = fixed_device(256, 170, 61);
+    gpu.set_stencil_func(true, CompareFunc::LessEqual, 0x40, 0xFF);
+    gpu.set_stencil_op(StencilOp::Keep, StencilOp::DecrWrap, StencilOp::Incr);
+    gpu.set_depth_test(true, CompareFunc::Greater);
+    gpu.set_depth_write(false);
+    let cost = gpu.draw_full_quad(0.5).unwrap();
+    record(out, "fixed/banded/full".to_string(), &mut gpu, &cost);
+
+    gpu.set_depth_write(true);
+    let rects = Rect::covering_prefix(256 * 130 + 5, 256);
+    let cost = gpu.draw_quad(&rects, 0.25).unwrap();
+    record(out, "fixed/banded/top".to_string(), &mut gpu, &cost);
+
+    gpu.set_depth_test(true, CompareFunc::NotEqual);
+    let cost = gpu.draw_quad(&[Rect::new(3, 25, 250, 140)], 0.75).unwrap();
+    record(out, "fixed/banded/bottom".to_string(), &mut gpu, &cost);
+}
+
+const EXPECTED_FIXED: &str = "\
+fixed/stencil/Never/ops0 5477 0 0 0 0 3ee8297fa1a594c6 fb d945ce19e4a809ae
+fixed/stencil/Less/ops0 5477 0 0 894 0 3ee8297fa1a594c6 fb 542c2601969e050b
+fixed/stencil/Equal/ops0 5477 0 0 96 0 3ee8297fa1a594c6 fb 7493635f581c17f4
+fixed/stencil/LessEqual/ops0 5477 0 0 990 0 3ee8297fa1a594c6 fb f597aed8c9d4a538
+fixed/stencil/Greater/ops0 5477 0 0 1790 0 3ee8297fa1a594c6 fb 22022ebe4fbd02c7
+fixed/stencil/NotEqual/ops0 5477 0 0 2684 0 3ee8297fa1a594c6 fb 799b0e5006611f1b
+fixed/stencil/GreaterEqual/ops0 5477 0 0 1849 0 3ee8297fa1a594c6 fb a39cab76b26c1912
+fixed/stencil/Always/ops0 5477 0 0 2780 0 3ee8297fa1a594c6 fb 7238e47a442ccfbb
+fixed/stencil/Never/ops1 5477 0 0 0 0 3ee8297fa1a594c6 fb 93ada02ee818fd04
+fixed/stencil/Less/ops1 5477 0 0 1921 0 3ee8297fa1a594c6 fb cc044e608cbfbcc8
+fixed/stencil/Equal/ops1 5477 0 0 0 0 3ee8297fa1a594c6 fb b690c22e093d3e0b
+fixed/stencil/LessEqual/ops1 5477 0 0 318 0 3ee8297fa1a594c6 fb e0eb37f704de52a4
+fixed/stencil/Greater/ops1 5477 0 0 0 0 3ee8297fa1a594c6 fb 5ce8dc16e3859727
+fixed/stencil/NotEqual/ops1 5477 0 0 2780 0 3ee8297fa1a594c6 fb d8cacc3547740bf4
+fixed/stencil/GreaterEqual/ops1 5477 0 0 2462 0 3ee8297fa1a594c6 fb bfb24a523db64775
+fixed/stencil/Always/ops1 5477 0 0 2780 0 3ee8297fa1a594c6 fb a0415392e9f75a3a
+fixed/stencil/Never/ops2 5477 0 0 0 0 3ee8297fa1a594c6 fb 98a609270411cbb1
+fixed/stencil/Less/ops2 5477 0 0 121 0 3ee8297fa1a594c6 fb e2ee5740305cafe1
+fixed/stencil/Equal/ops2 5477 0 0 205 0 3ee8297fa1a594c6 fb 4b1b98ab80e85597
+fixed/stencil/LessEqual/ops2 5477 0 0 340 0 3ee8297fa1a594c6 fb 3b97a3749a2f0964
+fixed/stencil/Greater/ops2 5477 0 0 2447 0 3ee8297fa1a594c6 fb b6c4eb22e75f35c6
+fixed/stencil/NotEqual/ops2 5477 0 0 2575 0 3ee8297fa1a594c6 fb f0a96dc3f196a937
+fixed/stencil/GreaterEqual/ops2 5477 0 0 2669 0 3ee8297fa1a594c6 fb 6b715970fc7d18f0
+fixed/stencil/Always/ops2 5477 0 0 2780 0 3ee8297fa1a594c6 fb 9558d1b851efbaf2
+fixed/bounds 5477 0 0 2448 0 3ee8297fa1a594c6 fb 09f5058a3724ed0f
+fixed/mask/Never/write=false/d=0.625 5477 0 0 0 0 3ee8297fa1a594c6 fb 09f5058a3724ed0f
+fixed/mask/Never/write=false/d=0.375 5477 0 0 0 0 3ee8297fa1a594c6 fb 09f5058a3724ed0f
+fixed/mask/Never/write=false/d=1.25 5477 0 0 0 0 3ee8297fa1a594c6 fb 09f5058a3724ed0f
+fixed/mask/Never/write=false/d=-0.25 5477 0 0 0 0 3ee8297fa1a594c6 fb 09f5058a3724ed0f
+fixed/mask/Less/write=false/d=0.625 5477 0 0 713 0 3ee8297fa1a594c6 fb 5df22a0ae1fdbfaf
+fixed/mask/Less/write=false/d=0.375 5477 0 0 2046 0 3ee8297fa1a594c6 fb 926f26add543fe6f
+fixed/mask/Less/write=false/d=1.25 5477 0 0 0 0 3ee8297fa1a594c6 fb 926f26add543fe6f
+fixed/mask/Less/write=false/d=-0.25 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Equal/write=false/d=0.625 5477 0 0 1 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Equal/write=false/d=0.375 5477 0 0 4 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Equal/write=false/d=1.25 5477 0 0 0 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Equal/write=false/d=-0.25 5477 0 0 0 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/LessEqual/write=false/d=0.625 5477 0 0 714 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/LessEqual/write=false/d=0.375 5477 0 0 2050 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/LessEqual/write=false/d=1.25 5477 0 0 0 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/LessEqual/write=false/d=-0.25 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Greater/write=false/d=0.625 5477 0 0 1991 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Greater/write=false/d=0.375 5477 0 0 655 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Greater/write=false/d=1.25 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Greater/write=false/d=-0.25 5477 0 0 0 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/NotEqual/write=false/d=0.625 5477 0 0 2704 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/NotEqual/write=false/d=0.375 5477 0 0 2701 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/NotEqual/write=false/d=1.25 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/NotEqual/write=false/d=-0.25 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/GreaterEqual/write=false/d=0.625 5477 0 0 1992 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/GreaterEqual/write=false/d=0.375 5477 0 0 659 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/GreaterEqual/write=false/d=1.25 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/GreaterEqual/write=false/d=-0.25 5477 0 0 0 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Always/write=false/d=0.625 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Always/write=false/d=0.375 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Always/write=false/d=1.25 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Always/write=false/d=-0.25 5477 0 0 2705 0 3ee8297fa1a594c6 fb f8a758a55ed79715
+fixed/mask/Never/write=true/d=0.625 5477 0 0 0 0 3ee8297fa1a594c6 fb b91cfb474a729da8
+fixed/mask/Never/write=true/d=0.375 5477 0 0 0 0 3ee8297fa1a594c6 fb b91cfb474a729da8
+fixed/mask/Never/write=true/d=1.25 5477 0 0 0 0 3ee8297fa1a594c6 fb b91cfb474a729da8
+fixed/mask/Never/write=true/d=-0.25 5477 0 0 0 0 3ee8297fa1a594c6 fb b91cfb474a729da8
+fixed/mask/Less/write=true/d=0.625 5477 0 0 2048 0 3ee8297fa1a594c6 fb 92729e442b68af83
+fixed/mask/Less/write=true/d=0.375 5477 0 0 3446 0 3ee8297fa1a594c6 fb e611b544f8dc8cdb
+fixed/mask/Less/write=true/d=1.25 5477 0 0 0 0 3ee8297fa1a594c6 fb e611b544f8dc8cdb
+fixed/mask/Less/write=true/d=-0.25 5477 0 0 5477 0 3ee8297fa1a594c6 fb 03f0ce94db6a40a5
+fixed/mask/Equal/write=true/d=0.625 5477 0 0 0 0 3ee8297fa1a594c6 fb bdabf5044d7854c7
+fixed/mask/Equal/write=true/d=0.375 5477 0 0 2 0 3ee8297fa1a594c6 fb 769b97f41f0f71d8
+fixed/mask/Equal/write=true/d=1.25 5477 0 0 1 0 3ee8297fa1a594c6 fb 9f91db8f79433ce9
+fixed/mask/Equal/write=true/d=-0.25 5477 0 0 2 0 3ee8297fa1a594c6 fb 6280335ca3cad7e4
+fixed/mask/LessEqual/write=true/d=0.625 5477 0 0 2137 0 3ee8297fa1a594c6 fb 3399122d34a66628
+fixed/mask/LessEqual/write=true/d=0.375 5477 0 0 3438 0 3ee8297fa1a594c6 fb acb657ee65fa77d7
+fixed/mask/LessEqual/write=true/d=1.25 5477 0 0 0 0 3ee8297fa1a594c6 fb acb657ee65fa77d7
+fixed/mask/LessEqual/write=true/d=-0.25 5477 0 0 5477 0 3ee8297fa1a594c6 fb 91e17145febbbe00
+fixed/mask/Greater/write=true/d=0.625 5477 0 0 3468 0 3ee8297fa1a594c6 fb 90764c2127b8c553
+fixed/mask/Greater/write=true/d=0.375 5477 0 0 0 0 3ee8297fa1a594c6 fb 90764c2127b8c553
+fixed/mask/Greater/write=true/d=1.25 5477 0 0 5477 0 3ee8297fa1a594c6 fb 12335f96715b1cf6
+fixed/mask/Greater/write=true/d=-0.25 5477 0 0 0 0 3ee8297fa1a594c6 fb 12335f96715b1cf6
+fixed/mask/NotEqual/write=true/d=0.625 5477 0 0 5476 0 3ee8297fa1a594c6 fb 5356a80c2b7d7fb6
+fixed/mask/NotEqual/write=true/d=0.375 5477 0 0 5477 0 3ee8297fa1a594c6 fb adf9acdbe56d400f
+fixed/mask/NotEqual/write=true/d=1.25 5477 0 0 5477 0 3ee8297fa1a594c6 fb a9a1c0fba4e0813e
+fixed/mask/NotEqual/write=true/d=-0.25 5477 0 0 5477 0 3ee8297fa1a594c6 fb b66bad93a68b0cef
+fixed/mask/GreaterEqual/write=true/d=0.625 5477 0 0 3463 0 3ee8297fa1a594c6 fb d751f573f2c1d2c7
+fixed/mask/GreaterEqual/write=true/d=0.375 5477 0 0 0 0 3ee8297fa1a594c6 fb d751f573f2c1d2c7
+fixed/mask/GreaterEqual/write=true/d=1.25 5477 0 0 5477 0 3ee8297fa1a594c6 fb e55ba534d2451c18
+fixed/mask/GreaterEqual/write=true/d=-0.25 5477 0 0 0 0 3ee8297fa1a594c6 fb e55ba534d2451c18
+fixed/mask/Always/write=true/d=0.625 5477 0 0 5477 0 3ee8297fa1a594c6 fb f0db75f575582d93
+fixed/mask/Always/write=true/d=0.375 5477 0 0 5477 0 3ee8297fa1a594c6 fb 0e8461d795acecd3
+fixed/mask/Always/write=true/d=1.25 5477 0 0 5477 0 3ee8297fa1a594c6 fb 7ab69f41462a38e6
+fixed/mask/Always/write=true/d=-0.25 5477 0 0 5477 0 3ee8297fa1a594c6 fb 99150da3a43d0df3
+fixed/alpha=0.25 5477 0 0 0 0 3ee8297fa1a594c6 fb 99150da3a43d0df3
+fixed/alpha=0.5 5477 0 0 5477 0 3ee8297fa1a594c6 fb 67deef640eff9a99
+fixed/scissor 2727 0 0 2727 0 3ee68f638abee050 fb f9d19c3ea0d2ab4f
+fixed/banded/full 43520 0 0 9129 0 3ef72970e2d9073e fb ee6dd311623dcce2
+fixed/banded/top 33285 0 0 3550 0 3ef42e4398946f47 fb 676593be0599a1e3
+fixed/banded/bottom 35000 0 0 14459 0 3ef4ae24ca8aeb0a fb d82bbd3773573304
+";
+
+/// Compare a table of pin lines against its recording.
+fn check_pins(expected: &str, actual: Vec<String>) {
+    let actual = actual.join("\n") + "\n";
+    if actual != expected {
+        let diff: Vec<String> = expected
+            .lines()
+            .zip(actual.lines())
+            .filter(|(e, a)| e != a)
+            .map(|(e, a)| format!("  expected {e}\n  actual   {a}"))
+            .take(10)
+            .collect();
+        panic!(
+            "draw pins moved ({} expected lines, {} actual); first differences:\n{}\n\
+             actual table:\n{actual}",
+            expected.lines().count(),
+            actual.lines().count(),
+            diff.join("\n")
+        );
+    }
+}
+
+#[test]
+fn fixed_function_draws_match_recorded_pins() {
+    let mut actual = Vec::new();
+    fixed_function_cases(&mut actual);
+    fixed_banded_cases(&mut actual);
+    check_pins(EXPECTED_FIXED, actual);
 }
 
 const EXPECTED: &str = "\
@@ -467,21 +769,5 @@ fn program_draws_match_recorded_pins() {
     copy_to_depth_cases(&mut actual);
     semilinear_cases(&mut actual);
     early_z_case(&mut actual);
-    let actual = actual.join("\n") + "\n";
-    if actual != EXPECTED {
-        let diff: Vec<String> = EXPECTED
-            .lines()
-            .zip(actual.lines())
-            .filter(|(e, a)| e != a)
-            .map(|(e, a)| format!("  expected {e}\n  actual   {a}"))
-            .take(10)
-            .collect();
-        panic!(
-            "draw pins moved ({} expected lines, {} actual); first differences:\n{}\n\
-             actual table:\n{actual}",
-            EXPECTED.lines().count(),
-            actual.lines().count(),
-            diff.join("\n")
-        );
-    }
+    check_pins(EXPECTED, actual);
 }
