@@ -255,6 +255,25 @@ mod tests {
     }
 
     #[test]
+    fn uploaded_textures_are_plain() {
+        let mut gpu = GpuTable::device_for(10, 4);
+        let max = (1u32 << ATTRIBUTE_BITS) - 1;
+        let columns: Vec<Vec<u32>> = (0..6)
+            .map(|c| (0..10).map(|i| max - i * c).collect())
+            .collect();
+        let names = ["a", "b", "c", "d", "e", "f"];
+        let named: Vec<(&str, &[u32])> = names
+            .into_iter()
+            .zip(columns.iter().map(Vec::as_slice))
+            .collect();
+        let t = GpuTable::upload(&mut gpu, "t", &named).unwrap();
+        assert_eq!(t.textures().len(), 2);
+        for &id in t.textures() {
+            assert!(gpu.texture(id).unwrap().is_plain());
+        }
+    }
+
+    #[test]
     fn rects_cover_records_exactly() {
         let mut gpu = GpuTable::device_for(10, 4);
         let t = small_table(&mut gpu);

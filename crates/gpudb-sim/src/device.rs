@@ -918,9 +918,10 @@ impl Gpu {
         width: usize,
         height: usize,
     ) -> GpuResult<()> {
-        if x + width > self.fb.width() || y + height > self.fb.height() {
+        let rect = Rect::new(x, y, width, height);
+        if !rect.fits(self.fb.width(), self.fb.height()) {
             return Err(GpuError::RectOutOfBounds {
-                rect: Rect::new(x, y, width, height),
+                rect,
                 width: self.fb.width(),
                 height: self.fb.height(),
             });
@@ -945,16 +946,8 @@ impl Gpu {
             .get_mut(id.0 as usize)
             .and_then(Option::as_mut)
             .ok_or(GpuError::InvalidTexture(id.0))?;
-        let channels = tex.format().channels();
-        let tex_width = tex.width();
-        let data = tex.data_mut();
-        for row in 0..height {
-            for col in 0..width {
-                let pixel = self.fb.color.get((y + row) * fb_width + (x + col));
-                let base = (row * tex_width + col) * channels;
-                data[base..base + channels].copy_from_slice(&pixel[..channels]);
-            }
-        }
+        let color = self.fb.color.data();
+        tex.copy_rgba_rows((y..y + height).map(|r| &color[r * fb_width + x..][..width]));
         let fragments = (width * height) as u64;
         self.span_begin(SpanKind::Pass, "copy:color-to-texture");
         self.stats
@@ -1261,6 +1254,44 @@ mod tests {
         assert!(gpu
             .copy_color_to_texture(TextureId(99), 0, 0, 1, 1)
             .is_err());
+    }
+
+    #[test]
+    fn texture_writes_at_overflowing_offsets_are_errors() {
+        let mut gpu = Gpu::geforce_fx_5900(4, 2);
+        let id = gpu
+            .create_texture(Texture::zeroed(2, 2, TextureFormat::R).unwrap())
+            .unwrap();
+        for (x, y) in [(usize::MAX, 0), (0, usize::MAX), (usize::MAX, usize::MAX)] {
+            let err = gpu.copy_color_to_texture(id, x, y, 1, 1).unwrap_err();
+            assert!(matches!(err, GpuError::RectOutOfBounds { .. }), "{err:?}");
+            let err = gpu
+                .update_texture_sub_image(id, x, y, 1, 1, &[1.0])
+                .unwrap_err();
+            assert_eq!(
+                err,
+                GpuError::InvalidTextureSize {
+                    width: 1,
+                    height: 1
+                }
+            );
+        }
+        assert!(gpu.texture(id).unwrap().data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn color_copies_keep_the_texture_plain_fact() {
+        let mut gpu = Gpu::geforce_fx_5900(4, 2);
+        let id = gpu
+            .create_texture(Texture::zeroed(4, 2, TextureFormat::Rg).unwrap())
+            .unwrap();
+        gpu.clear_color([0.5, -0.0, 0.0, 0.0]);
+        gpu.copy_color_to_texture(id, 1, 1, 2, 1).unwrap();
+        assert!(!gpu.texture(id).unwrap().is_plain());
+        // The blue channel is not copied into an RG texture.
+        gpu.clear_color([0.5, 0.25, -1.0, f32::NAN]);
+        gpu.copy_color_to_texture(id, 0, 0, 4, 2).unwrap();
+        assert!(gpu.texture(id).unwrap().is_plain());
     }
 
     #[test]

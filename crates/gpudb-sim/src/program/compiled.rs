@@ -27,12 +27,41 @@
 //!   `floor(x + 0.5) == x` in f32 for every `x` below
 //!   [`MAX_TEXTURE_DIM`](crate::texture::MAX_TEXTURE_DIM) (the tests below
 //!   check every one).
+//! * Such a fetch streams its texels when the span lies inside the
+//!   texture's width (`x + SPAN <= w`): no lane clamps, so the span reads
+//!   `SPAN` consecutive texels of one row, and each live channel is copied
+//!   straight out of the row slice. A span that crosses the right edge,
+//!   and a fetch at computed coordinates, gathers one clamped texel per
+//!   lane.
+//! * Lowering tracks a fact per slot: a constant (with its value), *plain*
+//!   (finite with the sign bit clear in every lane: a channel fetched from
+//!   a [plain](Texture::is_plain) texture, or a constant such as +0.0 or
+//!   1.0), or nothing. `MUL`, `ADD` and the products and partial sums of
+//!   `DP3`/`DP4` (summed left to right, as the interpreter does) fold on
+//!   these facts: an operation on constants is evaluated once at lowering
+//!   with the same f32 operation, and for a plain `p`, `p * 1.0` is `p`,
+//!   `p * +0.0` is `+0.0` and `p + +0.0` is `p`. A dot product either
+//!   folds completely or stays one `Dp3`/`Dp4` operation. With the
+//!   builtins' one-hot channel selector over an attribute texture, the
+//!   `DP4` folds to the selected channel, and the other three fetches are
+//!   dead.
+//!
+//! Each fold is exact where its guard holds. IEEE multiplication by 1.0 is
+//! the identity on finite values; a finite non-negative value times +0.0
+//! is +0.0; adding +0.0 to any number but -0.0 returns it; and operations
+//! on constants are the very f32 operations a lane would run. The guards
+//! exclude every input on which a fold could differ: -0.0 (`-0.0 + 0.0`
+//! is +0.0, `-0.0 * 0.0` is -0.0), negatives (`-1.0 * 0.0` is -0.0),
+//! infinities (`inf * 0.0` is NaN) and NaN. The facts never reach a texel
+//! or a count, so `DrawCost` and the modeled clock, which come from the
+//! program's length, do not move.
 //!
 //! Every lane runs the interpreter's f32 operations in the interpreter's
 //! order — `DP4` left to right, `MAD` as a multiply then an add, no
 //! reassociation, no fused multiply-add — so a kernel's color, depth and
-//! kill flag equal `execute`'s bit for bit. The differential proptest in
-//! `tests/compiled_kernel.rs` checks this on random assembled programs.
+//! kill flag equal `execute`'s bit for bit. The differential proptests in
+//! `tests/compiled_kernel.rs` check this on random assembled programs
+//! and on fetch-then-select programs over plain and impure textures.
 //!
 //! Lanes whose `KIL` fires are flagged; as with
 //! [`ProgramOutput::killed`](super::interp::ProgramOutput::killed), their
@@ -40,7 +69,7 @@
 
 use super::interp::FragmentContext;
 use super::isa::{DstOperand, DstReg, FragmentProgram, Instruction, Opcode, SrcOperand, SrcReg};
-use crate::texture::{texel_coord, Texture};
+use crate::texture::{is_plain_value, texel_coord, Texture};
 use std::collections::HashMap;
 
 /// Fragments shaded per kernel call: one row span. A span's kill flags
@@ -316,15 +345,22 @@ fn split(slots: &mut [Lanes], d: usize) -> (&[Lanes], &mut Lanes) {
 
 /// `f32::floor`, bit for bit (NaN stays NaN), in a form the optimizer
 /// vectorizes: baseline x86-64 has no SSE4.1 `roundps`, so `f32::floor`
-/// is a libm call per lane. Values of magnitude 2^23 and up (and NaN,
-/// ±inf) are already integral; below that, truncating through `i32` is
-/// exact, stepping down corrects negative non-integers, and `copysign`
-/// restores the sign of -0.0 and of values in (-1, -0.0).
+/// is a libm call per lane, and a saturating `as i32` cast is a scalar
+/// conversion per lane. Values of magnitude 2^23 and up (and NaN, ±inf)
+/// are already integral. Below that, adding and then subtracting 2^23
+/// rounds `|x|` to the nearest integer exactly (the sum keeps no fraction
+/// bits); `copysign` gives it the sign of `x` (so -0.0 and (-0.5, -0.0)
+/// round to -0.0), and stepping down where it rounded up gives the floor.
 #[inline(always)]
 fn floor(x: f32) -> f32 {
-    if x.abs() < 8_388_608.0 {
-        let t = (x as i32) as f32;
-        (if t > x { t - 1.0 } else { t }).copysign(x)
+    const TWO_23: f32 = 8_388_608.0;
+    if x.abs() < TWO_23 {
+        let r = ((x.abs() + TWO_23) - TWO_23).copysign(x);
+        if r > x {
+            r - 1.0
+        } else {
+            r
+        }
     } else {
         x
     }
@@ -352,7 +388,9 @@ fn map3(out: &mut Lanes, a: &Lanes, b: &Lanes, c: &Lanes, f: impl Fn(f32, f32, f
 }
 
 /// Nearest-neighbor, clamp-to-edge fetch of the live channels `dst` for
-/// every lane of the span starting at pixel `(x, y)`.
+/// every lane of the span starting at pixel `(x, y)`. A pixel-addressed
+/// span inside the texture's width copies the row's texels; any other
+/// span gathers them one clamped address per lane.
 fn fetch(
     slots: &mut [Lanes],
     texture: &Texture,
@@ -363,6 +401,25 @@ fn fetch(
 ) {
     let (w, h) = (texture.width(), texture.height());
     let channels = texture.format().channels();
+    let data = texture.data();
+    if matches!(coord, Coord::Pixel) && x + SPAN <= w {
+        // The span lies inside one texture row: stream its texels.
+        let start = (y.min(h - 1) * w + x) * channels;
+        let texels = &data[start..start + SPAN * channels];
+        for (c, d) in dst.iter().enumerate() {
+            if let Some(d) = *d {
+                let out = &mut slots[d];
+                if channels == 1 {
+                    out.copy_from_slice(texels);
+                } else {
+                    for (o, t) in out.iter_mut().zip(texels.chunks_exact(channels)) {
+                        *o = t[c];
+                    }
+                }
+            }
+        }
+        return;
+    }
     let base: [usize; SPAN] = match coord {
         Coord::Pixel => {
             let row = y.min(h - 1) * w;
@@ -373,7 +430,6 @@ fn fetch(
             std::array::from_fn(|l| (texel_coord(cy[l], h) * w + texel_coord(cx[l], w)) * channels)
         }
     };
-    let data = texture.data();
     for (c, d) in dst.iter().enumerate() {
         if let Some(d) = *d {
             let out = &mut slots[d];
@@ -391,6 +447,17 @@ enum Value {
     Slot(usize),
 }
 
+/// What lowering knows about a slot's value in every lane.
+#[derive(Debug, Clone, Copy)]
+enum Fact {
+    /// The same constant.
+    Const(f32),
+    /// Finite and sign-clear: a channel fetched from a plain texture.
+    Plain,
+    /// Nothing.
+    Any,
+}
+
 /// What a texel component reads as when the texture lacks that channel
 /// (and what every component of an unbound unit reads as): GL's
 /// `(0, 0, 0, 1)` expansion.
@@ -402,6 +469,8 @@ struct Lowering<'p, 'c, 'a> {
     depth: f32,
     color: [f32; 4],
     image: Vec<Lanes>,
+    /// What is known of each slot of `image`.
+    facts: Vec<Fact>,
     consts: HashMap<u32, usize>,
     negated: HashMap<usize, usize>,
     ops: Vec<Op<'a>>,
@@ -426,6 +495,7 @@ impl<'p, 'c, 'a> Lowering<'p, 'c, 'a> {
             color,
             // PX and PY.
             image: vec![[0.0; SPAN]; 2],
+            facts: vec![Fact::Any; 2],
             consts: HashMap::new(),
             negated: HashMap::new(),
             ops: Vec::new(),
@@ -437,6 +507,7 @@ impl<'p, 'c, 'a> Lowering<'p, 'c, 'a> {
 
     fn fresh(&mut self) -> usize {
         self.image.push([0.0; SPAN]);
+        self.facts.push(Fact::Any);
         self.image.len() - 1
     }
 
@@ -446,8 +517,72 @@ impl<'p, 'c, 'a> Lowering<'p, 'c, 'a> {
         }
         let slot = self.image.len();
         self.image.push([v; SPAN]);
+        self.facts.push(Fact::Const(v));
         self.consts.insert(v.to_bits(), slot);
         slot
+    }
+
+    fn value(&mut self, v: Value) -> usize {
+        match v {
+            Value::Const(c) => self.constant(c),
+            Value::Slot(s) => s,
+        }
+    }
+
+    fn fact(&self, v: Value) -> Fact {
+        match v {
+            Value::Const(c) => Fact::Const(c),
+            Value::Slot(s) => self.facts[s],
+        }
+    }
+
+    fn plain(&self, v: Value) -> bool {
+        match self.fact(v) {
+            Fact::Const(c) => is_plain_value(c),
+            Fact::Plain => true,
+            Fact::Any => false,
+        }
+    }
+
+    /// `a * b` without an operation, where that is exact: constants
+    /// multiply now, and a plain `p` gives `p * 1.0 == p` and
+    /// `p * +0.0 == +0.0` (in either order).
+    fn fold_mul(&self, a: Value, b: Value) -> Option<Value> {
+        match (self.fact(a), self.fact(b)) {
+            (Fact::Const(x), Fact::Const(y)) => Some(Value::Const(x * y)),
+            (_, Fact::Const(k)) if self.plain(a) => fold_scale(a, k),
+            (Fact::Const(k), _) if self.plain(b) => fold_scale(b, k),
+            _ => None,
+        }
+    }
+
+    /// `a + b` without an operation, where that is exact: constants add
+    /// now, and a plain `p` gives `p + +0.0 == p` (in either order).
+    fn fold_add(&self, a: Value, b: Value) -> Option<Value> {
+        match (self.fact(a), self.fact(b)) {
+            (Fact::Const(x), Fact::Const(y)) => Some(Value::Const(x + y)),
+            (_, Fact::Const(k)) if k.to_bits() == 0 && self.plain(a) => Some(a),
+            (Fact::Const(k), _) if k.to_bits() == 0 && self.plain(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The dot product `a[0] * b[0] + a[1] * b[1] + ...`, left to right
+    /// as the interpreter sums it. When every product and every partial
+    /// sum folds (a one-hot selector over a plain texture), it is a
+    /// constant or one of the operands. Otherwise it stays the single
+    /// operation `unfolded`: one fused loop is faster than the per-term
+    /// operations a partial fold would leave.
+    fn dot(&mut self, a: &[usize], b: &[usize], unfolded: impl FnOnce(usize) -> Op<'a>) -> usize {
+        let mut terms = a
+            .iter()
+            .zip(b)
+            .map(|(&x, &y)| self.fold_mul(Value::Slot(x), Value::Slot(y)));
+        let first = terms.next().flatten();
+        match terms.fold(first, |sum, term| self.fold_add(sum?, term?)) {
+            Some(v) => self.value(v),
+            None => self.emit(unfolded),
+        }
     }
 
     /// Component `k` of register `reg`, before swizzle and negation.
@@ -559,6 +694,9 @@ impl<'p, 'c, 'a> Lowering<'p, 'c, 'a> {
             }
             value[c] = Some(if c < channels {
                 let d = self.fresh();
+                if texture.is_plain() {
+                    self.facts[d] = Fact::Plain;
+                }
                 fetched[c] = Some(d);
                 d
             } else {
@@ -590,14 +728,14 @@ impl<'p, 'c, 'a> Lowering<'p, 'c, 'a> {
                     [0, 1, 2].map(|k| self.read(a, k)),
                     [0, 1, 2].map(|k| self.read(b, k)),
                 );
-                Some(self.emit(|d| Op::Dp3(d, x, y)))
+                Some(self.dot(&x, &y, |d| Op::Dp3(d, x, y)))
             }
             Opcode::Dp4 => {
                 let (x, y) = (
                     [0, 1, 2, 3].map(|k| self.read(a, k)),
                     [0, 1, 2, 3].map(|k| self.read(b, k)),
                 );
-                Some(self.emit(|d| Op::Dp4(d, x, y)))
+                Some(self.dot(&x, &y, |d| Op::Dp4(d, x, y)))
             }
             Opcode::Rcp => Some(self.unary(Unary::Rcp, a, 0)),
             Opcode::Rsq => Some(self.unary(Unary::Rsq, a, 0)),
@@ -649,7 +787,16 @@ impl<'p, 'c, 'a> Lowering<'p, 'c, 'a> {
         k: usize,
     ) -> usize {
         let (a, b) = (self.read(a, k), self.read(b, k));
-        self.emit(|d| Op::Binary(f, d, a, b))
+        let (x, y) = (Value::Slot(a), Value::Slot(b));
+        let folded = match f {
+            Binary::Mul => self.fold_mul(x, y),
+            Binary::Add => self.fold_add(x, y),
+            _ => None,
+        };
+        match folded {
+            Some(v) => self.value(v),
+            None => self.emit(|d| Op::Binary(f, d, a, b)),
+        }
     }
 
     fn ternary(&mut self, f: Ternary, srcs: [Option<&SrcOperand>; 3], k: usize) -> usize {
@@ -724,6 +871,17 @@ impl<'p, 'c, 'a> Lowering<'p, 'c, 'a> {
     }
 }
 
+/// `p * k` for a plain `p`, where that needs no operation.
+fn fold_scale(p: Value, k: f32) -> Option<Value> {
+    if k == 1.0 {
+        Some(p)
+    } else if k.to_bits() == 0 {
+        Some(Value::Const(0.0))
+    } else {
+        None
+    }
+}
+
 /// Components an instruction computes: the write mask's, except that
 /// `result.depth` only ever takes the z component.
 fn live_components(dst: &DstOperand) -> [bool; 4] {
@@ -736,6 +894,7 @@ fn live_components(dst: &DstOperand) -> [bool; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::builtin;
     use crate::program::interp::{execute, FragmentInput};
     use crate::program::parser::assemble;
     use crate::texture::{TextureFormat, MAX_TEXTURE_DIM};
@@ -866,24 +1025,125 @@ mod tests {
         assert_row_matches(src, &texture, 37..250, 4);
     }
 
-    #[test]
-    fn builtins_lower_to_few_operations() {
-        let texture = Texture::from_data(4, 1, TextureFormat::R, vec![1.0; 4]).unwrap();
-        let textures = [Some(&texture)];
-        let env = [[0.0; 4]; 32];
+    /// How a program lowered: its operation count, the channels its
+    /// fetches read, and whether a `Dp4` survived.
+    #[derive(Debug, PartialEq)]
+    struct Shape {
+        ops: usize,
+        fetched: Vec<usize>,
+        dp4: bool,
+    }
+
+    fn shape(kernel: &SpanKernel<'_>) -> Shape {
+        let mut fetched = Vec::new();
+        for op in &kernel.ops {
+            if let Op::Tex { dst, .. } = op {
+                fetched.extend((0..4).filter(|&c| dst[c].is_some()));
+            }
+        }
+        Shape {
+            ops: kernel.ops.len(),
+            fetched,
+            dp4: kernel.ops.iter().any(|op| matches!(op, Op::Dp4(..))),
+        }
+    }
+
+    /// Lower a builtin against `texture` with the channel selector for
+    /// `channel` and a bit divisor as scale.
+    fn builtin_shape(program: &FragmentProgram, texture: &Texture, channel: usize) -> Shape {
+        use crate::program::builtin::{channel_selector, ENV_CHANNEL, ENV_SCALE};
+        let textures = [Some(texture)];
+        let mut env = [[0.0; 4]; 32];
+        env[ENV_SCALE] = [0.125, 0.0, 0.0, 0.0];
+        env[ENV_CHANNEL] = channel_selector(channel);
         let ctx = FragmentContext {
             textures: &textures,
             env: &env,
         };
-        let test_bit = crate::program::builtin::test_bit();
-        let kernel = SpanKernel::compile(&test_bit, &ctx, 0.0, [0.0; 4]);
-        // TEX (one channel), DP4, MUL, FRC; the MOV is an alias.
-        assert_eq!(kernel.ops.len(), 4, "{:?}", kernel.ops);
+        let kernel = SpanKernel::compile(program, &ctx, 0.0, [0.0; 4]);
         assert!(!kernel.uses_px && !kernel.uses_py);
-        let copy = crate::program::builtin::copy_to_depth();
-        let kernel = SpanKernel::compile(&copy, &ctx, 0.0, [0.0; 4]);
-        assert_eq!(kernel.ops.len(), 3, "{:?}", kernel.ops);
-        assert!(kernel.depth.is_some());
+        shape(&kernel)
+    }
+
+    /// A 5×3 RGBA texture of 24-bit integers, as `GpuTable::upload`
+    /// builds one (u32 → f32).
+    fn attribute_texture() -> Texture {
+        let data = (0..5 * 3 * 4)
+            .map(|i: u32| (i * 104_729 % (1 << 24)) as f32)
+            .collect();
+        Texture::from_data(5, 3, TextureFormat::Rgba, data).unwrap()
+    }
+
+    #[test]
+    fn builtins_over_plain_textures_fetch_only_the_selected_channel() {
+        let texture = attribute_texture();
+        assert!(texture.is_plain());
+        let (test_bit, copy) = (builtin::test_bit(), builtin::copy_to_depth());
+        for channel in 0..4 {
+            // TEX (the selected channel), MUL, FRC: the DP4 is an alias of
+            // the fetched channel and the MOV an alias of the FRC.
+            let want = Shape {
+                ops: 3,
+                fetched: vec![channel],
+                dp4: false,
+            };
+            assert_eq!(builtin_shape(&test_bit, &texture, channel), want);
+            // TEX, MUL.
+            let want = Shape { ops: 2, ..want };
+            assert_eq!(builtin_shape(&copy, &texture, channel), want);
+        }
+        // Missing channels read as constants: an R texture folds the same.
+        let r = Texture::from_data(4, 1, TextureFormat::R, vec![1.0; 4]).unwrap();
+        assert_eq!(builtin_shape(&test_bit, &r, 0).ops, 3);
+    }
+
+    #[test]
+    fn builtins_keep_the_dot_product_over_impure_textures() {
+        let (test_bit, copy) = (builtin::test_bit(), builtin::copy_to_depth());
+        for bad in [f32::NAN, -0.0, f32::INFINITY, -1.0] {
+            let mut data = attribute_texture().data().to_vec();
+            // One texel of channel 3, which the selector leaves out.
+            data[7 * 4 + 3] = bad;
+            let texture = Texture::from_data(5, 3, TextureFormat::Rgba, data).unwrap();
+            assert!(!texture.is_plain());
+            for (program, ops) in [(&test_bit, 4), (&copy, 3)] {
+                let want = Shape {
+                    ops,
+                    fetched: vec![0, 1, 2, 3],
+                    dp4: true,
+                };
+                assert_eq!(builtin_shape(program, &texture, 1), want, "{bad}");
+            }
+        }
+    }
+
+    /// SemilinearFP's coefficients over a plain texture: a dot product
+    /// that does not fold completely stays one `Dp4`.
+    #[test]
+    fn dot_products_that_do_not_fold_completely_stay_one_operation() {
+        let texture = attribute_texture();
+        let textures = [Some(&texture)];
+        let program = builtin::semilinear(crate::state::CompareFunc::Less);
+        for coeff in [
+            [0.5, -1.0, 2.0, 0.75],
+            [1.0, -1.0, 0.0, 0.0],
+            [2.0, 0.0, 0.0, 0.0],
+        ] {
+            let mut env = [[0.0; 4]; 32];
+            env[builtin::ENV_COEFF] = coeff;
+            let ctx = FragmentContext {
+                textures: &textures,
+                env: &env,
+            };
+            let kernel = SpanKernel::compile(&program, &ctx, 0.0, [0.0; 4]);
+            assert!(shape(&kernel).dp4, "{coeff:?}: {:?}", kernel.ops);
+            let binary = |op: &Op<'_>| matches!(op, Op::Binary(Binary::Mul | Binary::Add, ..));
+            assert!(
+                !kernel.ops.iter().any(binary),
+                "{coeff:?}: {:?}",
+                kernel.ops
+            );
+        }
     }
 
     #[test]

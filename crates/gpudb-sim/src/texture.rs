@@ -6,6 +6,7 @@
 //! to 24 bits."
 
 use crate::error::{GpuError, GpuResult};
+use crate::raster::Rect;
 use serde::{Deserialize, Serialize};
 
 /// Maximum texture edge supported by the simulated device.
@@ -75,12 +76,35 @@ impl TextureFormat {
 /// mode the paper's screen-aligned-quad rendering needs, where "the
 /// individual elements of the texture, texels, line up with the pixels in
 /// the frame-buffer".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A texture also knows whether it is [plain](Texture::is_plain): whether
+/// every texel channel is finite with its sign bit clear. Every
+/// constructor and every write keeps that fact current, and texel storage
+/// is only written through them, so the compiled fragment kernels may rely
+/// on it. Textures of unsigned integer attributes are always plain.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Texture {
     width: usize,
     height: usize,
     format: TextureFormat,
     data: Vec<f32>,
+    plain: bool,
+}
+
+/// Whether `v` is finite with its sign bit clear: +0.0 up to `f32::MAX`,
+/// subnormals included. The bit patterns of −0.0, negatives, infinities
+/// and NaNs all lie at or above that of +inf.
+#[inline(always)]
+pub(crate) fn is_plain_value(v: f32) -> bool {
+    v.to_bits() < f32::INFINITY.to_bits()
+}
+
+/// Whether every value is plain: one branch-free pass that the optimizer
+/// vectorizes.
+fn is_plain(values: &[f32]) -> bool {
+    values
+        .iter()
+        .fold(true, |plain, &v| plain & is_plain_value(v))
 }
 
 impl Texture {
@@ -105,6 +129,7 @@ impl Texture {
             width,
             height,
             format,
+            plain: is_plain(&data),
             data,
         })
     }
@@ -119,6 +144,7 @@ impl Texture {
             height,
             format,
             data: vec![0.0; width * height * format.channels()],
+            plain: true,
         })
     }
 
@@ -176,10 +202,12 @@ impl Texture {
         &self.data
     }
 
-    /// Mutable raw texel storage, used by sub-image updates.
+    /// Whether every texel channel is finite and sign-clear (+0.0 up to
+    /// `f32::MAX`, subnormals included): no −0.0, negative, infinite or
+    /// NaN value anywhere in the texture.
     #[inline]
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+    pub fn is_plain(&self) -> bool {
+        self.plain
     }
 
     /// Overwrite a rectangular sub-region (like `glTexSubImage2D`).
@@ -192,7 +220,7 @@ impl Texture {
         data: &[f32],
     ) -> GpuResult<()> {
         let c = self.format.channels();
-        if x + width > self.width || y + height > self.height {
+        if !Rect::new(x, y, width, height).fits(self.width, self.height) {
             return Err(GpuError::InvalidTextureSize { width, height });
         }
         let expected = width * height * c;
@@ -207,7 +235,34 @@ impl Texture {
             let dst_base = ((y + row) * self.width + x) * c;
             self.data[dst_base..dst_base + width * c].copy_from_slice(src);
         }
+        self.refresh_plain(is_plain(data));
         Ok(())
+    }
+
+    /// Overwrite the leading texels of the texture's first rows with
+    /// `rows`, one slice of RGBA pixels per texture row, keeping each
+    /// pixel's leading channels (the color-buffer copy). Rows must be no
+    /// wider than the texture and no more numerous than its rows.
+    pub(crate) fn copy_rgba_rows<'p>(&mut self, rows: impl IntoIterator<Item = &'p [[f32; 4]]>) {
+        let c = self.format.channels();
+        let mut written_plain = true;
+        for (row, pixels) in rows.into_iter().enumerate() {
+            let base = row * self.width * c;
+            let dst = &mut self.data[base..base + pixels.len() * c];
+            for (texel, pixel) in dst.chunks_exact_mut(c).zip(pixels) {
+                texel.copy_from_slice(&pixel[..c]);
+            }
+            written_plain &= is_plain(dst);
+        }
+        self.refresh_plain(written_plain);
+    }
+
+    /// Update the plain fact after a write whose own texels were
+    /// `written_plain`: an impure write makes the texture impure, and a
+    /// plain write over an impure texture rescans it (the write may have
+    /// covered every impure texel).
+    fn refresh_plain(&mut self, written_plain: bool) {
+        self.plain = written_plain && (self.plain || is_plain(&self.data));
     }
 }
 
@@ -311,6 +366,97 @@ mod tests {
         assert_eq!(tex.fetch_channel(2, 2, 0), 4.0);
         assert_eq!(tex.fetch_channel(0, 0, 0), 0.0);
         assert!(tex.update_sub_image(3, 3, 2, 2, &[0.0; 4]).is_err());
+    }
+
+    #[test]
+    fn sub_image_offsets_that_overflow_are_rejected() {
+        let mut tex = Texture::zeroed(4, 4, TextureFormat::R).unwrap();
+        for (x, y) in [(usize::MAX, 0), (0, usize::MAX), (usize::MAX, usize::MAX)] {
+            let err = tex.update_sub_image(x, y, 1, 1, &[1.0]).unwrap_err();
+            assert_eq!(
+                err,
+                GpuError::InvalidTextureSize {
+                    width: 1,
+                    height: 1
+                }
+            );
+        }
+        let err = tex.update_sub_image(1, 0, usize::MAX, 1, &[]).unwrap_err();
+        assert!(matches!(err, GpuError::InvalidTextureSize { .. }));
+        assert!(tex.data().iter().all(|&v| v == 0.0));
+    }
+
+    /// Values that are not plain: the sign bit, infinities and NaNs.
+    const IMPURE: [f32; 6] = [
+        -0.0,
+        -1.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+    ];
+
+    #[test]
+    fn plain_fact_after_construction() {
+        let plain = [
+            0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            16_777_215.0,
+            f32::MAX,
+        ];
+        let tex = Texture::from_data(5, 1, TextureFormat::R, plain.to_vec()).unwrap();
+        assert!(tex.is_plain());
+        assert!(Texture::zeroed(3, 2, TextureFormat::Rgba)
+            .unwrap()
+            .is_plain());
+        for bad in IMPURE {
+            for at in [0, 3, 7] {
+                let mut data = vec![1.0; 8];
+                data[at] = bad;
+                let tex = Texture::from_data(2, 1, TextureFormat::Rgba, data).unwrap();
+                assert!(!tex.is_plain(), "{bad} at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn plain_fact_follows_sub_image_updates() {
+        let mut tex = Texture::zeroed(4, 4, TextureFormat::Rg).unwrap();
+        tex.update_sub_image(1, 1, 2, 1, &[1.0, 2.0, 3.0, 4.0])
+            .unwrap();
+        assert!(tex.is_plain());
+        for bad in IMPURE {
+            tex.update_sub_image(3, 2, 1, 1, &[5.0, bad]).unwrap();
+            assert!(!tex.is_plain(), "{bad}");
+            // A plain write elsewhere leaves the impure texel in place.
+            tex.update_sub_image(0, 0, 1, 1, &[6.0, 7.0]).unwrap();
+            assert!(!tex.is_plain(), "{bad}");
+            // Overwriting it makes the texture plain again.
+            tex.update_sub_image(2, 2, 2, 1, &[1.0; 4]).unwrap();
+            assert!(tex.is_plain(), "{bad}");
+        }
+        // A rejected update changes nothing.
+        assert!(tex.update_sub_image(3, 3, 2, 1, &[-1.0; 4]).is_err());
+        assert!(tex.is_plain());
+    }
+
+    #[test]
+    fn plain_fact_follows_color_copies() {
+        let mut tex = Texture::zeroed(3, 2, TextureFormat::Rg).unwrap();
+        let rows: [&[[f32; 4]]; 2] = [&[[1.0, 2.0, -1.0, f32::NAN]; 2], &[[3.0, 4.0, 0.0, 0.0]]];
+        // Only the leading two channels are copied.
+        tex.copy_rgba_rows(rows);
+        assert!(tex.is_plain());
+        assert_eq!(tex.fetch(1, 0), [1.0, 2.0, 0.0, 1.0]);
+        assert_eq!(tex.fetch(0, 1), [3.0, 4.0, 0.0, 1.0]);
+        assert_eq!(tex.fetch(1, 1), [0.0, 0.0, 0.0, 1.0]);
+        for bad in IMPURE {
+            tex.copy_rgba_rows([&[[0.5, 0.5, 0.0, 0.0], [bad, 0.5, 0.0, 0.0]][..]]);
+            assert!(!tex.is_plain(), "{bad}");
+            tex.copy_rgba_rows([&[[0.5; 4]; 3][..]]);
+            assert!(tex.is_plain(), "{bad}");
+        }
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! payload and sign of a NaN result unspecified, so any NaN matches any
 //! NaN. No test or framebuffer write can tell NaNs apart (every comparison
 //! with a NaN is false).
+//!
+//! The kernel folds multiplications by 1.0 and +0.0 and additions of +0.0
+//! when an operand is plain (a constant, or a channel of a texture whose
+//! every texel is finite and sign-clear). So the cases mix textures of
+//! arbitrary values, plain textures, and plain textures with one bad
+//! texel, and the constant vectors are often one-hot, all-zero or ±1.
 
 use gpudb_sim::program::interp::{execute, FragmentContext, FragmentInput};
 use gpudb_sim::program::{assemble, SpanKernel, SPAN};
@@ -103,10 +109,54 @@ fn value(rng: &mut Rng) -> f32 {
     }
 }
 
+/// Finite, sign-clear values: +0, subnormals, 24-bit integers up to
+/// 2^24 − 1, fractions and large finite magnitudes.
+const PLAIN: [f32; 10] = [
+    0.0,
+    1.0,
+    0.5,
+    16_777_215.0,
+    8_388_607.5,
+    1e30,
+    f32::MAX,
+    f32::MIN_POSITIVE,
+    1.0e-40,
+    1.0e-45,
+];
+
+/// Values that make a texture impure.
+const BAD: [f32; 5] = [-0.0, -1.5, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+
+fn plain_value(rng: &mut Rng) -> f32 {
+    match rng.below(3) {
+        0 => rng.pick(&PLAIN),
+        1 => (rng.next() & 0x00ff_ffff) as f32,
+        _ => (rng.next() >> 40) as f32 / (1u64 << 24) as f32 * 1000.0,
+    }
+}
+
+/// A constant vector: arbitrary values, or one-hot, all-zero, or made of
+/// ±1 and ±0 entries, which the kernel's folds look for.
+fn vector(rng: &mut Rng) -> [f32; 4] {
+    match rng.below(4) {
+        0 => [value(rng), value(rng), value(rng), value(rng)],
+        1 => {
+            let mut v = [0.0; 4];
+            v[rng.below(4)] = 1.0;
+            v
+        }
+        2 => [0.0; 4],
+        _ => std::array::from_fn(|_| rng.pick(&[1.0, -1.0, 0.0, -0.0])),
+    }
+}
+
 /// `{:?}` prints the shortest text that parses back to the same f32
 /// (`NaN` and `inf` included).
-fn literal(rng: &mut Rng) -> String {
-    format!("{:?}", value(rng))
+fn literal_vector(rng: &mut Rng) -> String {
+    let n = 1 + rng.below(4);
+    let v = vector(rng);
+    let parts: Vec<String> = v[..n].iter().map(|x| format!("{x:?}")).collect();
+    format!("{{{}}}", parts.join(", "))
 }
 
 fn swizzle(rng: &mut Rng) -> String {
@@ -126,10 +176,7 @@ fn src(rng: &mut Rng) -> String {
         0..=2 => format!("R{}", rng.below(6)),
         3 => format!("program.env[{}]", rng.below(4)),
         // Literals take no swizzle.
-        4 => {
-            let parts: Vec<String> = (0..1 + rng.below(4)).map(|_| literal(rng)).collect();
-            return format!("{neg}{{{}}}", parts.join(", "));
-        }
+        4 => return format!("{neg}{}", literal_vector(rng)),
         5 | 6 => format!("fragment.texcoord[{}]", rng.below(4)),
         7 => "fragment.position".to_string(),
         _ => "fragment.color".to_string(),
@@ -211,11 +258,28 @@ fn program_source(rng: &mut Rng, focus: usize) -> String {
     format!("!!ARBfp1.0\n{}\nEND", body.join("\n"))
 }
 
+/// A texture of arbitrary values, a plain texture, or a plain texture
+/// with one bad texel channel, a third of the time each.
 fn texture(rng: &mut Rng, width: usize, height: usize, format: TextureFormat) -> Texture {
-    let data = (0..width * height * format.channels())
-        .map(|_| value(rng))
+    let len = width * height * format.channels();
+    let kind = rng.below(3);
+    let mut data: Vec<f32> = (0..len)
+        .map(|_| {
+            if kind == 0 {
+                value(rng)
+            } else {
+                plain_value(rng)
+            }
+        })
         .collect();
-    Texture::from_data(width, height, format, data).unwrap()
+    if kind == 2 {
+        data[rng.below(len)] = rng.pick(&BAD);
+    }
+    let texture = Texture::from_data(width, height, format, data).unwrap();
+    if kind > 0 {
+        assert_eq!(texture.is_plain(), kind == 1);
+    }
+    texture
 }
 
 fn same(a: f32, b: f32) -> bool {
@@ -275,6 +339,68 @@ fn check_segment(
     Ok(())
 }
 
+/// A program shaped like the builtins: a pixel fetch, then a dot
+/// product, multiplication or addition of the texel and a constant
+/// vector, then a short tail.
+fn fold_program_source(rng: &mut Rng) -> String {
+    let unit = rng.below(UNITS);
+    let op = rng.pick(&["DP3", "DP4", "MUL", "ADD"]);
+    let constant = match rng.below(2) {
+        0 => format!("program.env[{}]", rng.below(4)),
+        _ => literal_vector(rng),
+    };
+    let texel = format!("R0{}", swizzle(rng));
+    let (a, b) = match rng.below(2) {
+        0 => (texel, constant),
+        _ => (constant, texel),
+    };
+    let mask = write_mask(rng);
+    let tail = rng.pick(&[
+        "",
+        "MUL R1, R1, program.env[0];",
+        "FRC R1, R1;",
+        "ADD R1, R1, R0;",
+        "DP4 R1, R1, program.env[1];",
+        "MUL R1.x, R1.x, program.env[0].x; FRC R1.x, R1.x;",
+    ]);
+    let out = rng.pick(&[
+        "MOV result.color, R1;",
+        "MOV result.color.a, R1.x;",
+        "MOV result.depth, R1.x;",
+        "KIL -R1; MOV result.color, R1;",
+    ]);
+    format!(
+        "!!ARBfp1.0\nTEX R0, fragment.texcoord[0], texture[{unit}], 2D;\n\
+         {op} R1{mask}, {a}, {b};\n{tail}\n{out}\nEND"
+    )
+}
+
+/// Shade a random row segment of `src` against random textures, program
+/// environment, quad depth and color, both ways.
+fn check_program(rng: &mut Rng, src: &str) -> Result<(), TestCaseError> {
+    // Narrow textures, and ones a span fits inside.
+    let widths = [rng.pick(&[5, 130]), rng.pick(&[7, 70]), rng.pick(&[3, 150])];
+    let r = texture(rng, widths[0], 3, TextureFormat::R);
+    let rg = texture(rng, widths[1], 2, TextureFormat::Rg);
+    let rgba = texture(rng, widths[2], 4, TextureFormat::Rgba);
+    let textures = [Some(&r), Some(&rg), Some(&rgba), None];
+    let env: Vec<[f32; 4]> = (0..4).map(|_| vector(rng)).collect();
+    let ctx = FragmentContext {
+        textures: &textures,
+        env: &env,
+    };
+    let depth = rng.pick(&[0.0, 0.25, 0.5, 1.0]);
+    let color = [value(rng), value(rng), value(rng), value(rng)];
+    // Exact span multiples, one past, one short, and partial rows that
+    // start anywhere (mostly beyond the textures' right edges).
+    let partial = 1 + rng.below(2 * SPAN + 10);
+    let width = rng.pick(&[1, SPAN - 1, SPAN, SPAN + 1, partial]);
+    let start = rng.below(200);
+    let x0 = rng.pick(&[0, start]);
+    let y = rng.below(8);
+    check_segment(src, &ctx, depth, color, x0, y, width)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -282,23 +408,21 @@ proptest! {
     fn compiled_kernel_matches_interpreter(focus in 0usize..22, seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let src = program_source(&mut rng, focus);
-        let r = texture(&mut rng, 5, 3, TextureFormat::R);
-        let rg = texture(&mut rng, 7, 2, TextureFormat::Rg);
-        let rgba = texture(&mut rng, 3, 4, TextureFormat::Rgba);
-        let textures = [Some(&r), Some(&rg), Some(&rgba), None];
-        let env: Vec<[f32; 4]> = (0..4)
-            .map(|_| [value(&mut rng), value(&mut rng), value(&mut rng), value(&mut rng)])
-            .collect();
-        let ctx = FragmentContext { textures: &textures, env: &env };
-        let depth = rng.pick(&[0.0, 0.25, 0.5, 1.0]);
-        let color = [value(&mut rng), value(&mut rng), value(&mut rng), value(&mut rng)];
-        // Exact span multiples, one past, one short, and partial rows that
-        // start anywhere (mostly beyond the textures' right edges).
-        let partial = 1 + rng.below(2 * SPAN + 10);
-        let width = rng.pick(&[1, SPAN - 1, SPAN, SPAN + 1, partial]);
-        let start = rng.below(200);
-        let x0 = rng.pick(&[0, start]);
-        let y = rng.below(8);
-        check_segment(&src, &ctx, depth, color, x0, y, width)?;
+        check_program(&mut rng, &src)?;
+    }
+
+}
+
+proptest! {
+    // Cheap cases; many of them, so that each fold guard meets the rare
+    // texel and constant pairs (a plain texel times -0.0, a bad texel in
+    // a selected channel) on which a loosened guard changes the bits.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn folded_channel_selects_match_interpreter(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let src = fold_program_source(&mut rng);
+        check_program(&mut rng, &src)?;
     }
 }

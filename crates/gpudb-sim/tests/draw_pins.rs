@@ -97,16 +97,21 @@ fn real_texture(w: usize, h: usize, seed: u64) -> Texture {
 /// A stencil "selection" of roughly every third pixel, built with a
 /// fixed-function pass per selected row segment.
 fn select_stripes(gpu: &mut Gpu) {
+    let rects: Vec<Rect> = (0..FB_H)
+        .map(|y| Rect::new((y * 7) % 50, y, 40 + y % 30, 1))
+        .collect();
+    select_rects(gpu, &rects);
+}
+
+/// Set stencil 1 on `rects` and 0 everywhere else.
+fn select_rects(gpu: &mut Gpu, rects: &[Rect]) {
     gpu.clear_stencil(0);
     gpu.set_stencil_func(true, CompareFunc::Always, 1, 0xFF);
     gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Replace);
     gpu.set_color_mask(ColorMask::NONE);
     gpu.set_depth_test(false, CompareFunc::Always);
     gpu.set_depth_write(false);
-    let rects: Vec<Rect> = (0..FB_H)
-        .map(|y| Rect::new((y * 7) % 50, y, 40 + y % 30, 1))
-        .collect();
-    gpu.draw_quad(&rects, 0.0).unwrap();
+    gpu.draw_quad(rects, 0.0).unwrap();
     gpu.reset_state();
 }
 
@@ -268,6 +273,147 @@ fn early_z_case(out: &mut Vec<String>) {
     gpu.set_depth_write(false);
     let shade = gpu.draw_full_quad(0.5).unwrap();
     record(out, "earlyz/less".to_string(), &mut gpu, &shade);
+}
+
+/// Width of the wide cases: as wide as the paper's 1000×1000 textures,
+/// so a row's spans lie inside the texture except the last, which crosses
+/// its right edge.
+const WIDE: usize = 1000;
+
+/// An RGBA texture of 24-bit integers in `channel` in which every
+/// `neg_zero_every`-th texel holds −0.0 instead. With `hostile`, every
+/// other channel holds signed zeros, NaN, infinities, negatives and huge
+/// magnitudes; without it, 24-bit integers.
+fn channel_texture(
+    w: usize,
+    h: usize,
+    channel: usize,
+    neg_zero_every: usize,
+    hostile: bool,
+    seed: u64,
+) -> Texture {
+    const HOSTILE: [f32; 8] = [
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -1.0,
+        -3.5e7,
+        1e30,
+        0.0,
+    ];
+    let mut rng = Lcg(seed);
+    let mut data = Vec::with_capacity(w * h * 4);
+    for texel in 0..w * h {
+        for c in 0..4 {
+            let r = rng.next();
+            data.push(if c != channel && hostile {
+                HOSTILE[r as usize % HOSTILE.len()]
+            } else if c == channel && neg_zero_every > 0 && texel % neg_zero_every == 0 {
+                -0.0
+            } else {
+                (r & 0x00ff_ffff) as f32
+            });
+        }
+    }
+    Texture::from_data(w, h, TextureFormat::Rgba, data).unwrap()
+}
+
+/// `TestBit` at a few bits and `CopyToDepth`, with and without a stencil
+/// selection, on one device: the color mask is open and depth writes are
+/// on, so every draw's alpha and depth land in the pinned buffers.
+fn channel_select_draws(
+    out: &mut Vec<String>,
+    name: &str,
+    gpu: &mut Gpu,
+    channel: usize,
+    rects: &[Rect],
+) {
+    // Striped row segments across the whole width.
+    let mut stripes = Vec::new();
+    for y in 0..gpu.height() {
+        for k in 0..gpu.width() / 90 {
+            stripes.push(Rect::new(k * 90 + (y * 7) % 50, y, 30 + y % 10, 1));
+        }
+    }
+    for selected in [false, true] {
+        gpu.reset_state();
+        if selected {
+            select_rects(gpu, &stripes);
+            gpu.set_stencil_func(true, CompareFunc::Equal, 1, 0xFF);
+            gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Keep);
+        }
+        gpu.bind_program(Some(builtin::test_bit()));
+        gpu.set_program_env(builtin::ENV_CHANNEL, builtin::channel_selector(channel))
+            .unwrap();
+        gpu.set_depth_test(false, CompareFunc::Always);
+        gpu.set_depth_write(false);
+        gpu.set_alpha_test(true, CompareFunc::GreaterEqual, 0.5);
+        for bit in [0, 1, 7, 16, 23] {
+            gpu.set_program_env(builtin::ENV_SCALE, [0.5f32.powi(bit + 1), 0.0, 0.0, 0.0])
+                .unwrap();
+            let cost = gpu.draw_quad(rects, 0.0).unwrap();
+            record(
+                out,
+                format!("{name}/testbit/sel={selected}/bit{bit}"),
+                gpu,
+                &cost,
+            );
+        }
+        gpu.bind_program(Some(builtin::copy_to_depth()));
+        gpu.set_program_env(
+            builtin::ENV_SCALE,
+            [1.0 / gpudb_sim::buffers::DEPTH_SCALE as f32, 0.0, 0.0, 0.0],
+        )
+        .unwrap();
+        gpu.set_alpha_test(false, CompareFunc::Always, 0.0);
+        gpu.set_depth_write(true);
+        let cost = gpu.draw_quad(rects, 0.0).unwrap();
+        record(
+            out,
+            format!("{name}/copytodepth/sel={selected}"),
+            gpu,
+            &cost,
+        );
+    }
+}
+
+/// The channel-select builtins on RGBA textures whose unselected channels
+/// hold −0.0, NaN, ±inf and negatives, on one whose selected channel holds
+/// −0.0 texels, and on all-integer textures. The wide cases cover rows of
+/// spans that lie inside the texture and spans that cross its right edge,
+/// on a framebuffer as wide as the texture and on one wider than it.
+fn hostile_channel_cases(out: &mut Vec<String>) {
+    for channel in [0, 2, 3] {
+        let texture = channel_texture(W, 37, channel, 0, true, 70 + channel as u64);
+        let name = format!("hostile/ch{channel}");
+        let rects = Rect::covering_prefix(N, W);
+        channel_select_draws(out, &name, &mut device_with(texture), channel, &rects);
+    }
+    let wide_rects = [
+        Rect::new(0, 0, WIDE, 9),
+        Rect::new(3, 9, 990, 2),
+        Rect::new(937, 11, 63, 3),
+        Rect::new(0, 14, 517, 1),
+    ];
+    let cases = [
+        ("wide/hostile", WIDE, 7, true),
+        ("wider/hostile", WIDE + 24, 7, true),
+        ("wide/negzero", WIDE, 7, false),
+        ("wide/int", WIDE, 0, false),
+        ("wider/int", WIDE + 24, 0, false),
+    ];
+    for (seed, (label, fb_w, neg_zero_every, hostile)) in (81..).zip(cases) {
+        let texture = channel_texture(WIDE, 15, 1, neg_zero_every, hostile, seed);
+        let mut gpu = Gpu::geforce_fx_5900(fb_w, 16);
+        let id = gpu.create_texture(texture).unwrap();
+        gpu.bind_texture(0, Some(id)).unwrap();
+        let mut rects = wide_rects.to_vec();
+        if fb_w > WIDE {
+            rects.push(Rect::new(WIDE - 40, 15, 64, 1));
+        }
+        channel_select_draws(out, label, &mut gpu, 1, &rects);
+    }
 }
 
 const ALL_FUNCS: [CompareFunc; 8] = [
@@ -770,4 +916,110 @@ fn program_draws_match_recorded_pins() {
     semilinear_cases(&mut actual);
     early_z_case(&mut actual);
     check_pins(EXPECTED, actual);
+}
+
+const EXPECTED_HOSTILE: &str = "\
+hostile/ch0/testbit/sel=false/bit0 5477 5477 0 676 27385 3ef40eb90eb837f9 fb f767b7a9f9b415a5
+hostile/ch0/testbit/sel=false/bit1 5477 5477 0 648 27385 3ef40eb90eb837f9 fb 20fc1b4fde60aee5
+hostile/ch0/testbit/sel=false/bit7 5477 5477 0 663 27385 3ef40eb90eb837f9 fb 40bde245ed7ee136
+hostile/ch0/testbit/sel=false/bit16 5477 5477 0 668 27385 3ef40eb90eb837f9 fb 32bb478b135dc685
+hostile/ch0/testbit/sel=false/bit23 5477 5477 0 674 27385 3ef40eb90eb837f9 fb 8c1a7751774fdde6
+hostile/ch0/copytodepth/sel=false 5477 5477 0 5477 21908 3ef276540257220e fb b57918341a19b67d
+hostile/ch0/testbit/sel=true/bit0 5477 5477 0 147 27385 3ef40eb90eb837f9 fb 2d4d9a2d3925fe3d
+hostile/ch0/testbit/sel=true/bit1 5477 5477 0 135 27385 3ef40eb90eb837f9 fb e353c31977729ebd
+hostile/ch0/testbit/sel=true/bit7 5477 5477 0 145 27385 3ef40eb90eb837f9 fb c294628e66859f08
+hostile/ch0/testbit/sel=true/bit16 5477 5477 0 149 27385 3ef40eb90eb837f9 fb 3e5f77e75c7a3358
+hostile/ch0/testbit/sel=true/bit23 5477 5477 0 149 27385 3ef40eb90eb837f9 fb 3b8f41bb9138378e
+hostile/ch0/copytodepth/sel=true 5477 5477 0 1266 21908 3ef276540257220e fb 954616fa790af1bd
+hostile/ch2/testbit/sel=false/bit0 5477 5477 0 673 27385 3ef40eb90eb837f9 fb 3a812b4d38347105
+hostile/ch2/testbit/sel=false/bit1 5477 5477 0 642 27385 3ef40eb90eb837f9 fb 8af8d8b98f17f165
+hostile/ch2/testbit/sel=false/bit7 5477 5477 0 683 27385 3ef40eb90eb837f9 fb 8b3af2c4f3d2ae48
+hostile/ch2/testbit/sel=false/bit16 5477 5477 0 652 27385 3ef40eb90eb837f9 fb 7e0dc285b1562ebc
+hostile/ch2/testbit/sel=false/bit23 5477 5477 0 659 27385 3ef40eb90eb837f9 fb 7667b3f8921c5db2
+hostile/ch2/copytodepth/sel=false 5477 5477 0 5477 21908 3ef276540257220e fb da8c88367e442182
+hostile/ch2/testbit/sel=true/bit0 5477 5477 0 160 27385 3ef40eb90eb837f9 fb 142bf2ec246c8242
+hostile/ch2/testbit/sel=true/bit1 5477 5477 0 156 27385 3ef40eb90eb837f9 fb c0c49ab733cfb982
+hostile/ch2/testbit/sel=true/bit7 5477 5477 0 168 27385 3ef40eb90eb837f9 fb f0fa49b20ff071d6
+hostile/ch2/testbit/sel=true/bit16 5477 5477 0 151 27385 3ef40eb90eb837f9 fb 8cbadb2c7bc0440f
+hostile/ch2/testbit/sel=true/bit23 5477 5477 0 158 27385 3ef40eb90eb837f9 fb db9bbb089233ff7e
+hostile/ch2/copytodepth/sel=true 5477 5477 0 1266 21908 3ef276540257220e fb fabf89701f52e642
+hostile/ch3/testbit/sel=false/bit0 5477 5477 0 686 27385 3ef40eb90eb837f9 fb 188faec9830d7165
+hostile/ch3/testbit/sel=false/bit1 5477 5477 0 644 27385 3ef40eb90eb837f9 fb 4b3a2a47a6421b85
+hostile/ch3/testbit/sel=false/bit7 5477 5477 0 658 27385 3ef40eb90eb837f9 fb 4d89ba77a918a57f
+hostile/ch3/testbit/sel=false/bit16 5477 5477 0 640 27385 3ef40eb90eb837f9 fb 66333abb155ffad8
+hostile/ch3/testbit/sel=false/bit23 5477 5477 0 656 27385 3ef40eb90eb837f9 fb bbeb7d45869b398f
+hostile/ch3/copytodepth/sel=false 5477 5477 0 5477 21908 3ef276540257220e fb 674c00a21f067cd7
+hostile/ch3/testbit/sel=true/bit0 5477 5477 0 176 27385 3ef40eb90eb837f9 fb 5275527367cf0e17
+hostile/ch3/testbit/sel=true/bit1 5477 5477 0 177 27385 3ef40eb90eb837f9 fb 9dea0dae61583297
+hostile/ch3/testbit/sel=true/bit7 5477 5477 0 172 27385 3ef40eb90eb837f9 fb 33ee81af56572fc5
+hostile/ch3/testbit/sel=true/bit16 5477 5477 0 155 27385 3ef40eb90eb837f9 fb 1918a422f3a56ee9
+hostile/ch3/testbit/sel=true/bit23 5477 5477 0 164 27385 3ef40eb90eb837f9 fb 031d6eddc2c6bc5f
+hostile/ch3/copytodepth/sel=true 5477 5477 0 1266 21908 3ef276540257220e fb 4718ff687df7b817
+wide/hostile/testbit/sel=false/bit0 11686 11686 0 1268 58430 3efee8951bf81fd4 fb e7d79b94a61175a5
+wide/hostile/testbit/sel=false/bit1 11686 11686 0 1250 58430 3efee8951bf81fd4 fb d026e4cac710af85
+wide/hostile/testbit/sel=false/bit7 11686 11686 0 1223 58430 3efee8951bf81fd4 fb e516c69f4d54c1d8
+wide/hostile/testbit/sel=false/bit16 11686 11686 0 1236 58430 3efee8951bf81fd4 fb 467223335bbb8ae8
+wide/hostile/testbit/sel=false/bit23 11686 11686 0 1249 58430 3efee8951bf81fd4 fb 947867b54b1e8a1a
+wide/hostile/copytodepth/sel=false 11686 11686 0 11686 46744 3efb81360d61b89a fb 3e6679365155dbf3
+wide/hostile/testbit/sel=true/bit0 11686 11686 0 489 58430 3efee8951bf81fd4 fb 6b351ca00a183d5f
+wide/hostile/testbit/sel=true/bit1 11686 11686 0 475 58430 3efee8951bf81fd4 fb bb5b7b8cff08ff1f
+wide/hostile/testbit/sel=true/bit7 11686 11686 0 462 58430 3efee8951bf81fd4 fb eb2a103122792649
+wide/hostile/testbit/sel=true/bit16 11686 11686 0 464 58430 3efee8951bf81fd4 fb 8fd506215373028c
+wide/hostile/testbit/sel=true/bit23 11686 11686 0 475 58430 3efee8951bf81fd4 fb f96c21e18e7d7c03
+wide/hostile/copytodepth/sel=true 11686 11686 0 4397 46744 3efb81360d61b89a fb 75162f6b1d3590df
+wider/hostile/testbit/sel=false/bit0 11750 11750 0 1305 58750 3eff05372fd0608e fb f33f7b1a532e6605
+wider/hostile/testbit/sel=false/bit1 11750 11750 0 1228 58750 3eff05372fd0608e fb e9c1b702a906bf05
+wider/hostile/testbit/sel=false/bit7 11750 11750 0 1283 58750 3eff05372fd0608e fb 9c5609a74808af53
+wider/hostile/testbit/sel=false/bit16 11750 11750 0 1244 58750 3eff05372fd0608e fb 4206653520213af7
+wider/hostile/testbit/sel=false/bit23 11750 11750 0 1295 58750 3eff05372fd0608e fb d0a847b0d94347c5
+wider/hostile/copytodepth/sel=false 11750 11750 0 11750 47000 3efb991273409936 fb 920f1b9526615df3
+wider/hostile/testbit/sel=true/bit0 11750 11750 0 476 58750 3eff05372fd0608e fb cf51ac0ee785229f
+wider/hostile/testbit/sel=true/bit1 11750 11750 0 485 58750 3eff05372fd0608e fb ec60bfe081a4569f
+wider/hostile/testbit/sel=true/bit7 11750 11750 0 484 58750 3eff05372fd0608e fb a9e45b582cf5c327
+wider/hostile/testbit/sel=true/bit16 11750 11750 0 479 58750 3eff05372fd0608e fb ef0ec155abd40ae0
+wider/hostile/testbit/sel=true/bit23 11750 11750 0 499 58750 3eff05372fd0608e fb 7e46567e78535bdb
+wider/hostile/copytodepth/sel=true 11750 11750 0 4397 47000 3efb991273409936 fb 205e5b966037789f
+wide/negzero/testbit/sel=false/bit0 11686 11686 0 4906 58430 3efee8951bf81fd4 fb 2267544edbc1c1e5
+wide/negzero/testbit/sel=false/bit1 11686 11686 0 5001 58430 3efee8951bf81fd4 fb 54c62fa20f0f2325
+wide/negzero/testbit/sel=false/bit7 11686 11686 0 5001 58430 3efee8951bf81fd4 fb 126d15adca570784
+wide/negzero/testbit/sel=false/bit16 11686 11686 0 4990 58430 3efee8951bf81fd4 fb 056efa12439da093
+wide/negzero/testbit/sel=false/bit23 11686 11686 0 4970 58430 3efee8951bf81fd4 fb c20682c575c44f1c
+wide/negzero/copytodepth/sel=false 11686 11686 0 11686 46744 3efb81360d61b89a fb c828d05e44141c3b
+wide/negzero/testbit/sel=true/bit0 11686 11686 0 1865 58430 3efee8951bf81fd4 fb ab0c347fd19c26a7
+wide/negzero/testbit/sel=true/bit1 11686 11686 0 1898 58430 3efee8951bf81fd4 fb 0d5402b981928467
+wide/negzero/testbit/sel=true/bit7 11686 11686 0 1865 58430 3efee8951bf81fd4 fb 4a763fae4a8d08e0
+wide/negzero/testbit/sel=true/bit16 11686 11686 0 1867 58430 3efee8951bf81fd4 fb 055d918e34a7dcfa
+wide/negzero/testbit/sel=true/bit23 11686 11686 0 1873 58430 3efee8951bf81fd4 fb de11d2f669ef9feb
+wide/negzero/copytodepth/sel=true 11686 11686 0 4397 46744 3efb81360d61b89a fb fed886930ff3d127
+wide/int/testbit/sel=false/bit0 11686 11686 0 5930 58430 3efee8951bf81fd4 fb 7d0f9da9b1e19ce5
+wide/int/testbit/sel=false/bit1 11686 11686 0 5962 58430 3efee8951bf81fd4 fb d6cf018185026165
+wide/int/testbit/sel=false/bit7 11686 11686 0 5876 58430 3efee8951bf81fd4 fb 1cca282aa5e56434
+wide/int/testbit/sel=false/bit16 11686 11686 0 5858 58430 3efee8951bf81fd4 fb ef4ecf0bbcb593aa
+wide/int/testbit/sel=false/bit23 11686 11686 0 5899 58430 3efee8951bf81fd4 fb dbeef21e23290cdf
+wide/int/copytodepth/sel=false 11686 11686 0 11686 46744 3efb81360d61b89a fb 1e63f07e606f8459
+wide/int/testbit/sel=true/bit0 11686 11686 0 2216 58430 3efee8951bf81fd4 fb 3890ab1f966f7645
+wide/int/testbit/sel=true/bit1 11686 11686 0 2248 58430 3efee8951bf81fd4 fb 868732c557eb2f45
+wide/int/testbit/sel=true/bit7 11686 11686 0 2191 58430 3efee8951bf81fd4 fb b67c2b39461b30f7
+wide/int/testbit/sel=true/bit16 11686 11686 0 2207 58430 3efee8951bf81fd4 fb 2b47eb553186149d
+wide/int/testbit/sel=true/bit23 11686 11686 0 2178 58430 3efee8951bf81fd4 fb 154b8c1d0e6db5d4
+wide/int/copytodepth/sel=true 11686 11686 0 4397 46744 3efb81360d61b89a fb 5513a6b32c4f3945
+wider/int/testbit/sel=false/bit0 11750 11750 0 5881 58750 3eff05372fd0608e fb e9f6638fb9969205
+wider/int/testbit/sel=false/bit1 11750 11750 0 5915 58750 3eff05372fd0608e fb 063b8888528c94a5
+wider/int/testbit/sel=false/bit7 11750 11750 0 5894 58750 3eff05372fd0608e fb 8fceb4ece2ab809d
+wider/int/testbit/sel=false/bit16 11750 11750 0 5942 58750 3eff05372fd0608e fb 2e03a8ecad6f94e2
+wider/int/testbit/sel=false/bit23 11750 11750 0 5850 58750 3eff05372fd0608e fb adc3efe494ad152e
+wider/int/copytodepth/sel=false 11750 11750 0 11750 47000 3efb991273409936 fb a7b1f6116b2a37d6
+wider/int/testbit/sel=true/bit0 11750 11750 0 2238 58750 3eff05372fd0608e fb ed35eeb4732eb02a
+wider/int/testbit/sel=true/bit1 11750 11750 0 2209 58750 3eff05372fd0608e fb f376371acaa7b66a
+wider/int/testbit/sel=true/bit7 11750 11750 0 2221 58750 3eff05372fd0608e fb 36a794d3832843fa
+wider/int/testbit/sel=true/bit16 11750 11750 0 2266 58750 3eff05372fd0608e fb eb960503ef8440d8
+wider/int/testbit/sel=true/bit23 11750 11750 0 2202 58750 3eff05372fd0608e fb 93c10c35df528d24
+wider/int/copytodepth/sel=true 11750 11750 0 4397 47000 3efb991273409936 fb 1962b61031541d2a
+";
+
+#[test]
+fn channel_select_draws_on_hostile_textures_match_recorded_pins() {
+    let mut actual = Vec::new();
+    hostile_channel_cases(&mut actual);
+    check_pins(EXPECTED_HOSTILE, actual);
 }
