@@ -137,20 +137,40 @@ impl HostTable {
         GpuTable::upload(gpu, &self.name, &self.column_refs())
     }
 
-    /// A host table holding the record range `[start, end)` of this one —
-    /// the unit of out-of-core chunked execution.
+    /// Upload the record range `[start, end)` (clamped like
+    /// [`HostTable::slice`]) as a table of the slice's name, straight from
+    /// this table's columns: the unit of out-of-core chunks and of shards.
+    /// Equivalent to `self.slice(start, end).upload(gpu)` without the copy.
+    pub fn upload_range(&self, gpu: &mut Gpu, start: usize, end: usize) -> EngineResult<GpuTable> {
+        let (name, columns) = self.range(start, end);
+        GpuTable::upload(gpu, name, &columns)
+    }
+
+    /// A host table holding the record range `[start, end)` of this one,
+    /// clamped to the table.
     pub fn slice(&self, start: usize, end: usize) -> HostTable {
+        let (name, columns) = self.range(start, end);
+        HostTable {
+            name,
+            record_count: columns.first().map_or(0, |(_, v)| v.len()),
+            columns: columns
+                .into_iter()
+                .map(|(n, v)| (n.to_string(), v.to_vec()))
+                .collect(),
+        }
+    }
+
+    /// Name and borrowed columns of the clamped record range
+    /// `[start, end)`.
+    fn range(&self, start: usize, end: usize) -> (String, Vec<(&str, &[u32])>) {
         let end = end.min(self.record_count);
         let start = start.min(end);
-        HostTable {
-            name: format!("{}[{start}..{end}]", self.name),
-            columns: self
-                .columns
-                .iter()
-                .map(|(n, v)| (n.clone(), v[start..end].to_vec()))
-                .collect(),
-            record_count: end - start,
-        }
+        let columns = self
+            .columns
+            .iter()
+            .map(|(n, v)| (n.as_str(), &v[start..end]))
+            .collect();
+        (format!("{}[{start}..{end}]", self.name), columns)
     }
 }
 
@@ -593,6 +613,57 @@ mod tests {
             total += out.matched;
         }
         assert_eq!(total, host.record_count() as u64);
+    }
+
+    #[test]
+    fn upload_range_equals_uploading_a_slice() {
+        // Six columns (an RGBA and an RG texture) of 23 records on a
+        // 5-wide grid: ranges are empty, inverted, past the end, and of
+        // lengths that leave a partial last row.
+        let columns: Vec<(String, Vec<u32>)> = (0..6u32)
+            .map(|c| {
+                let values = (0..23u32)
+                    .map(|i| (i * 7919 + c * 104_729) % (1 << (4 * c)))
+                    .collect();
+                (format!("c{c}"), values)
+            })
+            .collect();
+        let host = HostTable::new("t", columns).unwrap();
+        for (start, end) in [
+            (0, 23),
+            (0, 0),
+            (9, 9),
+            (12, 4),
+            (30, 40),
+            (17, 99),
+            (3, 11),
+            (1, 22),
+        ] {
+            let mut by_range = GpuTable::device_for(23, 5);
+            let mut by_slice = GpuTable::device_for(23, 5);
+            let a = host.upload_range(&mut by_range, start, end).unwrap();
+            let b = host.slice(start, end).upload(&mut by_slice).unwrap();
+            let case = format!("range {start}..{end}");
+            assert_eq!(a.name(), b.name(), "{case}");
+            assert_eq!(a.columns(), b.columns(), "{case}");
+            assert_eq!(a.record_count(), b.record_count(), "{case}");
+            assert_eq!(a.rects(), b.rects(), "{case}");
+            assert_eq!(a.textures().len(), b.textures().len(), "{case}");
+            for (&ta, &tb) in a.textures().iter().zip(b.textures()) {
+                let (ta, tb) = (by_range.texture(ta).unwrap(), by_slice.texture(tb).unwrap());
+                assert_eq!(ta, tb, "{case}");
+                assert!(ta.is_plain(), "{case}");
+            }
+            assert_eq!(
+                by_range.stats().counters(),
+                by_slice.stats().counters(),
+                "{case}"
+            );
+            assert_eq!(by_range.stats().modeled, by_slice.stats().modeled, "{case}");
+            assert_eq!(by_range.vram_used(), by_slice.vram_used(), "{case}");
+        }
+        assert_eq!(host.slice(12, 4).name(), "t[4..4]");
+        assert_eq!(host.slice(17, 99).name(), "t[17..23]");
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! remainder of the query if a fault lands mid-aggregate. A fault on one
 //! shard never disturbs the others.
 
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
 
@@ -190,13 +191,12 @@ pub fn execute_sharded_with_faults(
         for (&(start, end), fault) in ranges.iter().zip(faults.drain(..)) {
             let (req_tx, req_rx) = channel::<Req>();
             let (resp_tx, resp_rx) = channel::<Resp>();
-            let slice = host.slice(start, end);
             let filter = query.filter.clone();
             let options = opts.options;
             let policy = opts.policy.clone();
             let width = opts.device_width;
             scope.spawn(move || {
-                let worker = Worker::new(slice, filter, options, policy, width, fault);
+                let worker = Worker::new(host, start..end, filter, options, policy, width, fault);
                 worker_main(worker, req_rx, resp_tx);
             });
             links.push((req_tx, resp_rx));
@@ -545,7 +545,7 @@ enum Backend {
         table: GpuTable,
         selection: Option<Selection>,
     },
-    /// The shard degraded: answers come from the host slice + mask.
+    /// The shard degraded: answers come from the host rows + mask.
     Cpu,
 }
 
@@ -557,9 +557,11 @@ struct AggWindow {
     modeled: gpudb_sim::PhaseTimes,
 }
 
-struct Worker {
+struct Worker<'h> {
     gpu: Gpu,
-    slice: HostTable,
+    /// The whole table; the shard owns the records in `rows`.
+    host: &'h HostTable,
+    rows: Range<usize>,
     filter: Option<BoolExpr>,
     fuse: bool,
     validate: bool,
@@ -576,7 +578,7 @@ struct Worker {
     window: Option<AggWindow>,
 }
 
-fn worker_main(mut worker: Worker, reqs: Receiver<Req>, resps: Sender<Resp>) {
+fn worker_main(mut worker: Worker<'_>, reqs: Receiver<Req>, resps: Sender<Resp>) {
     let init = worker.run_selection();
     let failed = init.is_err();
     let _ = resps.send(Resp::Ready(init));
@@ -647,16 +649,17 @@ fn lint_plans(plans: &[PassPlan]) -> EngineResult<()> {
     Ok(())
 }
 
-impl Worker {
+impl<'h> Worker<'h> {
     fn new(
-        slice: HostTable,
+        host: &'h HostTable,
+        rows: Range<usize>,
         filter: Option<BoolExpr>,
         options: ExecuteOptions,
         policy: RetryPolicy,
         width: usize,
         fault: Option<FaultInjector>,
-    ) -> Worker {
-        let mut gpu = GpuTable::device_for(slice.record_count(), width);
+    ) -> Worker<'h> {
+        let mut gpu = GpuTable::device_for(rows.len(), width);
         if let Some(injector) = fault {
             gpu.attach_fault_injector(injector);
         }
@@ -665,7 +668,8 @@ impl Worker {
         }
         Worker {
             gpu,
-            slice,
+            host,
+            rows,
             filter,
             fuse: options.fuse_passes,
             validate: options.validate_plans,
@@ -722,7 +726,7 @@ impl Worker {
                             .policy
                             .multiplier
                             .powi(self.retries.saturating_sub(1) as i32);
-                    let records = self.slice.record_count() as u64;
+                    let records = self.rows.len() as u64;
                     let ((), record) = metrics::observe(
                         &mut self.gpu,
                         "resilience/retry-backoff",
@@ -765,12 +769,14 @@ impl Worker {
         }
     }
 
-    /// One selection attempt: upload the slice, plan, execute (fused by
-    /// default), lint the recorded plan when validating, and read back
-    /// the per-record mask. On success the uploaded table and selection
+    /// One selection attempt: upload the shard's rows, plan, execute
+    /// (fused by default), lint the recorded plan when validating, and
+    /// read back the per-record mask. On success the uploaded table and selection
     /// stay resident for the aggregate phase.
     fn selection_attempt(&mut self) -> EngineResult<()> {
-        let table = self.slice.upload(&mut self.gpu)?;
+        let table = self
+            .host
+            .upload_range(&mut self.gpu, self.rows.start, self.rows.end)?;
         match self.selection_on(&table) {
             Ok((selection, matched, mask, record)) => {
                 self.metrics.push(record);
@@ -823,8 +829,9 @@ impl Worker {
 
     /// Answer the whole shard from the CPU oracle.
     fn cpu_fallback(&mut self) -> EngineResult<ShardInit> {
-        let bitmap = cpu_oracle::filter_mask(&self.slice, self.filter.as_ref())?;
-        let records = self.slice.record_count();
+        let slice = self.host.slice(self.rows.start, self.rows.end);
+        let bitmap = cpu_oracle::filter_mask(&slice, self.filter.as_ref())?;
+        let records = self.rows.len();
         self.mask = (0..records).map(|i| bitmap.get(i)).collect();
         self.matched = bitmap.count_ones() as u64;
         self.backend = Backend::Cpu;
@@ -847,10 +854,8 @@ impl Worker {
         self.degradations.push(format!(
             "aggregate fault ({error}); shard answering on the CPU"
         ));
-        self.metrics.push(marker_record(
-            "parallel/shard-cpu",
-            self.slice.record_count() as u64,
-        ));
+        self.metrics
+            .push(marker_record("parallel/shard-cpu", self.rows.len() as u64));
         self.path = ResiliencePath::Cpu;
         self.backend = Backend::Cpu;
         Ok(())
@@ -915,7 +920,7 @@ impl Worker {
             Some(Err(e)) => self.degrade_or(e)?,
             None => {}
         }
-        let values = self.slice.column_values(column)?;
+        let values = self.column_values(column)?;
         Ok(values
             .iter()
             .zip(&self.mask)
@@ -941,7 +946,7 @@ impl Worker {
             Some(Err(e)) => self.degrade_or(e)?,
             None => {}
         }
-        let values = self.slice.column_values(column)?;
+        let values = self.column_values(column)?;
         let selected = values
             .iter()
             .zip(&self.mask)
@@ -997,12 +1002,17 @@ impl Worker {
         let column = self
             .descent_column
             .ok_or_else(|| EngineError::InvalidQuery("descent step before BeginDescent".into()))?;
-        let values = self.slice.column_values(column)?;
+        let values = self.column_values(column)?;
         Ok(values
             .iter()
             .zip(&self.mask)
             .filter(|&(&v, &selected)| selected && v >= m)
             .count() as u64)
+    }
+
+    /// The shard's values of a column.
+    fn column_values(&self, column: usize) -> EngineResult<&'h [u32]> {
+        Ok(&self.host.column_values(column)?[self.rows.clone()])
     }
 
     fn finish(mut self) -> ShardDone {

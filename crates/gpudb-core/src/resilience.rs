@@ -293,9 +293,10 @@ enum Reassemble {
     Extremum(usize),
 }
 
-/// Out-of-core degradation: execute the query over `chunks` host slices,
-/// each uploaded separately, and combine the decomposable partials. The
-/// caller has already checked [`query_is_chunkable`].
+/// Out-of-core degradation: execute the query over `chunks` record ranges
+/// of the host table, each uploaded separately from the host's own
+/// columns, and combine the decomposable partials. The caller has already
+/// checked [`query_is_chunkable`].
 fn execute_out_of_core(
     gpu: &mut Gpu,
     host: &HostTable,
@@ -346,8 +347,7 @@ fn execute_out_of_core(
     // and plan validation fire exactly as they would on the full table.
     let mut start = 0usize;
     while start < n.max(1) {
-        let chunk = host.slice(start, start + chunk_records);
-        let table = chunk.upload(gpu)?;
+        let table = host.upload_range(gpu, start, start + chunk_records)?;
         let result = (|| -> EngineResult<()> {
             let out =
                 executor::execute_with_options(gpu, &table, &with_filter(basis.clone()), options)?;
@@ -665,6 +665,45 @@ mod tests {
             .metrics
             .iter()
             .any(|m| m.operator == "resilience/out-of-core"));
+    }
+
+    #[test]
+    fn refused_multi_texture_upload_degrades_to_out_of_core_without_leaking() {
+        // Six columns need an RGBA and an RG texture (24 B/record); video
+        // memory beyond the framebuffer holds 20 B/record, so the full
+        // upload is refused at its second texture.
+        let records = 4_000u32;
+        let host = HostTable::new(
+            "wide",
+            (0..6u32)
+                .map(|c| {
+                    let values = (0..records).map(|i| (i * (c + 3)) % 1_000).collect();
+                    (format!("c{c}"), values)
+                })
+                .collect::<Vec<(String, Vec<u32>)>>(),
+        )
+        .unwrap();
+        let mut gpu = GpuTable::device_for(host.record_count(), 100);
+        let framebuffer = gpu.vram_used();
+        gpu.set_vram_budget(framebuffer + 20 * records as usize);
+        let query = Query::filtered(
+            vec![Aggregate::Sum("c5".into()), Aggregate::Count],
+            BoolExpr::pred("c1", CompareFunc::Less, 500),
+        );
+        let oracle = cpu_oracle::execute(&host, &query).unwrap();
+        for _ in 0..3 {
+            let resilient = execute_resilient(
+                &mut gpu,
+                &host,
+                &query,
+                ExecuteOptions::default(),
+                &RetryPolicy::default(),
+            )
+            .unwrap();
+            assert_eq!(resilient.report.path, ResiliencePath::OutOfCore);
+            assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
+            assert_eq!(gpu.vram_used(), framebuffer);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::error::{EngineError, EngineResult};
 use crate::ops::ATTRIBUTE_BITS;
 use gpudb_sim::raster::Rect;
-use gpudb_sim::texture::{Texture, TextureFormat};
+use gpudb_sim::texture::TextureFormat;
 use gpudb_sim::{Gpu, Phase, TextureId};
 
 /// Default texture width, matching the paper's 1000-wide layout.
@@ -56,7 +56,9 @@ impl GpuTable {
 
     /// Upload columnar data as a new table. Columns must be non-ragged and
     /// every value must fit in 24 bits. The device framebuffer width fixes
-    /// the record grid width.
+    /// the record grid width. Each texture is staged only after the device
+    /// admits it, and an upload that fails part-way deletes the textures it
+    /// already created.
     pub fn upload(
         gpu: &mut Gpu,
         name: impl Into<String>,
@@ -67,18 +69,23 @@ impl GpuTable {
         if columns.iter().any(|(_, v)| v.len() != record_count) {
             return Err(EngineError::MismatchedColumnLengths);
         }
-        for (col_name, values) in columns {
-            let bits = values
-                .iter()
-                .copied()
-                .max()
-                .map_or(0, |m| 32 - m.leading_zeros());
+        let mut metas = Vec::with_capacity(columns.len());
+        for (index, (col_name, values)) in columns.iter().enumerate() {
+            let max_value = values.iter().copied().max().unwrap_or(0);
+            let bits = 32 - max_value.leading_zeros();
             if bits > ATTRIBUTE_BITS {
                 return Err(EngineError::AttributeTooWide {
                     column: (*col_name).to_string(),
                     bits,
                 });
             }
+            metas.push(ColumnMeta {
+                name: (*col_name).to_string(),
+                texture_index: index / 4,
+                channel: index % 4,
+                bits,
+                max_value,
+            });
         }
 
         let width = gpu.width();
@@ -91,32 +98,20 @@ impl GpuTable {
         }
 
         gpu.set_phase(Phase::Upload);
-        let mut metas = Vec::with_capacity(columns.len());
-        let mut textures = Vec::new();
-        for (group_index, group) in columns.chunks(4).enumerate() {
-            let channels = group.len();
-            let format = TextureFormat::from_channels(channels as u8)?;
-            // Interleave the group's columns into one texture, padding the
-            // grid tail with zeros.
-            let mut data = vec![0.0f32; width * height * channels];
-            for (channel, (_, values)) in group.iter().enumerate() {
-                for (i, &v) in values.iter().enumerate() {
-                    data[i * channels + channel] = v as f32;
+        let mut textures = Vec::with_capacity(columns.len().div_ceil(4));
+        for group in columns.chunks(4) {
+            let format = TextureFormat::from_channels(group.len() as u8)?;
+            let created =
+                gpu.create_texture_with(width, height, format, |data| interleave(data, group));
+            match created {
+                Ok(id) => textures.push(id),
+                Err(e) => {
+                    // Best effort: a device reset has already wiped them.
+                    for id in textures {
+                        let _ = gpu.delete_texture(id);
+                    }
+                    return Err(e.into());
                 }
-            }
-            let texture =
-                Texture::from_data(width, height, format, data).map_err(EngineError::from)?;
-            let id = gpu.create_texture(texture)?;
-            textures.push(id);
-            for (channel, (col_name, values)) in group.iter().enumerate() {
-                let max_value = values.iter().copied().max().unwrap_or(0);
-                metas.push(ColumnMeta {
-                    name: (*col_name).to_string(),
-                    texture_index: group_index,
-                    channel,
-                    bits: 32 - max_value.leading_zeros(),
-                    max_value,
-                });
             }
         }
 
@@ -229,6 +224,32 @@ impl GpuTable {
     }
 }
 
+/// Write a group of one to four equal-length columns into zeroed texel
+/// storage, one texel per record in a single sequential pass; the texels
+/// past the last record stay zero.
+fn interleave(data: &mut [f32], group: &[(&str, &[u32])]) {
+    match group.len() {
+        1 => interleave_texels::<1>(data, group),
+        2 => interleave_texels::<2>(data, group),
+        3 => interleave_texels::<3>(data, group),
+        4 => interleave_texels::<4>(data, group),
+        n => unreachable!("a texture group holds 1 to 4 columns, not {n}"),
+    }
+}
+
+/// [`interleave`] at a fixed channel count, so that the texel loop has
+/// constant-length inner loops and no per-value bounds checks.
+fn interleave_texels<const C: usize>(data: &mut [f32], group: &[(&str, &[u32])]) {
+    let records = group[0].1.len();
+    let columns: [&[u32]; C] = std::array::from_fn(|c| &group[c].1[..records]);
+    let (texels, _) = data.as_chunks_mut::<C>();
+    for (record, texel) in texels[..records].iter_mut().enumerate() {
+        for (value, column) in texel.iter_mut().zip(&columns) {
+            *value = column[record] as f32;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +291,30 @@ mod tests {
         assert_eq!(t.textures().len(), 2);
         for &id in t.textures() {
             assert!(gpu.texture(id).unwrap().is_plain());
+        }
+    }
+
+    #[test]
+    fn texels_interleave_records_and_zero_the_grid_tail() {
+        // 10 records on a 4-wide grid: 12 texels, the last two padding.
+        let mut gpu = GpuTable::device_for(10, 4);
+        let columns: Vec<Vec<u32>> = (0..7u32)
+            .map(|c| (0..10).map(|i| 1 + 100 * c + i).collect())
+            .collect();
+        let names = ["a", "b", "c", "d", "e", "f", "g"];
+        let named: Vec<(&str, &[u32])> = names
+            .into_iter()
+            .zip(columns.iter().map(Vec::as_slice))
+            .collect();
+        let t = GpuTable::upload(&mut gpu, "t", &named).unwrap();
+        for (group, &id) in columns.chunks(4).zip(t.textures()) {
+            let mut expected = vec![0.0f32; 12 * group.len()];
+            for (channel, values) in group.iter().enumerate() {
+                for (record, &v) in values.iter().enumerate() {
+                    expected[record * group.len() + channel] = v as f32;
+                }
+            }
+            assert_eq!(gpu.texture(id).unwrap().data(), expected.as_slice());
         }
     }
 
@@ -375,6 +420,54 @@ mod tests {
         assert!(gpu.vram_used() > before);
         t.free(&mut gpu).unwrap();
         assert_eq!(gpu.vram_used(), before);
+    }
+
+    #[test]
+    fn failed_upload_frees_the_textures_it_created() {
+        // Six columns: an RGBA texture (16 B/record) the budget admits,
+        // then an RG texture (8 B/record) it refuses.
+        let cols: Vec<Vec<u32>> = (0..6).map(|c| vec![c as u32; 40]).collect();
+        let named: Vec<(&str, &[u32])> = ["a", "b", "c", "d", "e", "f"]
+            .iter()
+            .zip(&cols)
+            .map(|(n, v)| (*n, v.as_slice()))
+            .collect();
+        let mut gpu = GpuTable::device_for(40, 10);
+        let framebuffer = gpu.vram_used();
+        gpu.set_vram_budget(framebuffer + 20 * 40);
+        let err = GpuTable::upload(&mut gpu, "wide", &named).unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::Gpu(gpudb_sim::GpuError::OutOfVideoMemory {
+                requested: 320,
+                available: 160,
+            })
+        ));
+        assert_eq!(gpu.vram_used(), framebuffer);
+        // The refused upload still charged the admitted texture, once.
+        assert_eq!(gpu.stats().bytes_uploaded, 640);
+        // The memory is usable again: a four-column table fits.
+        let t = GpuTable::upload(&mut gpu, "narrow", &named[..4]).unwrap();
+        assert_eq!(gpu.vram_used(), framebuffer + 640);
+        t.free(&mut gpu).unwrap();
+
+        // A reset between the two textures has already wiped the first:
+        // its failed deletion does not mask the reset.
+        gpu.set_vram_budget(usize::MAX);
+        let after_first = gpu.modeled_clock_ns() + 1;
+        gpu.attach_fault_injector(gpudb_sim::FaultInjector::with_schedule(vec![
+            gpudb_sim::FaultEvent {
+                at_ns: after_first,
+                kind: gpudb_sim::FaultKind::DeviceReset,
+            },
+        ]));
+        let uploaded = gpu.stats().bytes_uploaded;
+        let err = GpuTable::upload(&mut gpu, "wide", &named).unwrap_err();
+        assert_eq!(err, EngineError::Gpu(gpudb_sim::GpuError::DeviceReset));
+        assert_eq!(gpu.stats().bytes_uploaded - uploaded, 640);
+        assert_eq!(gpu.vram_used(), framebuffer);
+        let t = GpuTable::upload(&mut gpu, "wide", &named).unwrap();
+        assert_eq!(t.read_column(&gpu, 5).unwrap(), vec![5; 40]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::state::{
     AlphaState, ColorMask, CompareFunc, DepthBoundsState, PipelineState, ScissorState, StencilOp,
 };
 use crate::stats::{GpuStats, Phase};
-use crate::texture::{Texture, TextureId};
+use crate::texture::{Texture, TextureFormat, TextureId};
 use crate::trace::{
     DeviceCaps, DrawPass, PassOp, PassPlan, ProgramInfo, RecordMode, TraceRecorder,
 };
@@ -349,7 +349,37 @@ impl Gpu {
 
     /// Upload a texture to the device (costed as an AGP transfer).
     pub fn create_texture(&mut self, texture: Texture) -> GpuResult<TextureId> {
-        let bytes = texture.byte_size();
+        self.admit_texture(texture.byte_size())?;
+        Ok(self.install_texture(texture, Instant::now()))
+    }
+
+    /// Upload a `width × height` texture of `format` whose texels `fill`
+    /// writes into zeroed storage (row-major, channels interleaved).
+    ///
+    /// Results, errors, statistics and modeled costs are those of
+    /// [`Gpu::create_texture`] on the same texels, but the device admits
+    /// the texture before its storage exists: a refused upload allocates
+    /// nothing and never calls `fill`.
+    pub fn create_texture_with(
+        &mut self,
+        width: usize,
+        height: usize,
+        format: TextureFormat,
+        fill: impl FnOnce(&mut [f32]),
+    ) -> GpuResult<TextureId> {
+        Texture::check_size(width, height)?;
+        let len = width * height * format.channels();
+        self.admit_texture(len * std::mem::size_of::<f32>())?;
+        let wall = Instant::now();
+        let mut data = vec![0.0; len];
+        fill(&mut data);
+        let texture = Texture::from_data(width, height, format, data)?;
+        Ok(self.install_texture(texture, wall))
+    }
+
+    /// Decide whether a texture of `bytes` may be allocated: an injected
+    /// fault first, then the video-memory budget.
+    fn admit_texture(&mut self, bytes: usize) -> GpuResult<()> {
         match self.poll_fault(FaultKind::AllocationFail) {
             Some(FaultKind::DeviceReset) => return Err(GpuError::DeviceReset),
             Some(_) => {
@@ -369,7 +399,13 @@ impl Gpu {
                 available: self.vram_budget.saturating_sub(self.vram_used),
             });
         }
-        let wall = Instant::now();
+        Ok(())
+    }
+
+    /// Store an admitted texture and charge its upload; `wall` is when
+    /// the device started working on it.
+    fn install_texture(&mut self, texture: Texture, wall: Instant) -> TextureId {
+        let bytes = texture.byte_size();
         let id = match self.free_ids.pop() {
             Some(id) => {
                 self.textures[id as usize] = Some(texture);
@@ -390,7 +426,7 @@ impl Gpu {
         self.stats
             .wall
             .add(self.phase, wall.elapsed().as_secs_f64());
-        Ok(TextureId(id))
+        TextureId(id)
     }
 
     /// Delete a texture, releasing its video memory.

@@ -108,6 +108,15 @@ fn is_plain(values: &[f32]) -> bool {
 }
 
 impl Texture {
+    /// Reject texture dimensions the device cannot hold: zero, or wider
+    /// or taller than [`MAX_TEXTURE_DIM`].
+    pub(crate) fn check_size(width: usize, height: usize) -> GpuResult<()> {
+        if width == 0 || height == 0 || width > MAX_TEXTURE_DIM || height > MAX_TEXTURE_DIM {
+            return Err(GpuError::InvalidTextureSize { width, height });
+        }
+        Ok(())
+    }
+
     /// Create a texture from raw interleaved texel data.
     pub fn from_data(
         width: usize,
@@ -115,9 +124,7 @@ impl Texture {
         format: TextureFormat,
         data: Vec<f32>,
     ) -> GpuResult<Texture> {
-        if width == 0 || height == 0 || width > MAX_TEXTURE_DIM || height > MAX_TEXTURE_DIM {
-            return Err(GpuError::InvalidTextureSize { width, height });
-        }
+        Texture::check_size(width, height)?;
         let expected = width * height * format.channels();
         if data.len() != expected {
             return Err(GpuError::TextureDataMismatch {
@@ -136,9 +143,7 @@ impl Texture {
 
     /// Create a zero-filled texture.
     pub fn zeroed(width: usize, height: usize, format: TextureFormat) -> GpuResult<Texture> {
-        if width == 0 || height == 0 || width > MAX_TEXTURE_DIM || height > MAX_TEXTURE_DIM {
-            return Err(GpuError::InvalidTextureSize { width, height });
-        }
+        Texture::check_size(width, height)?;
         Ok(Texture {
             width,
             height,
